@@ -4,12 +4,8 @@ use adept_telemetry::Counter;
 use adept_tensor::Tensor;
 use std::cell::RefCell;
 
-/// One per logical backward pass, regardless of which entry point ran —
-/// deterministic across `ONN_THREADS`.
+/// One per backward pass — deterministic across `ONN_THREADS`.
 static BACKWARD_RUNS: Counter = Counter::stable("backward.runs");
-/// Spans handed to worker replay. Zero on the serial fallback
-/// (`ONN_THREADS=1`), hence volatile.
-static SPANS_REPLAYED: Counter = Counter::volatile("backward.spans_replayed");
 
 /// Backward hook of one tape node.
 ///
@@ -17,11 +13,8 @@ static SPANS_REPLAYED: Counter = Counter::volatile("backward.spans_replayed");
 /// returns one optional gradient per parent, in parent order. `None` means
 /// "no gradient flows to this parent" (e.g. a detached or integer input).
 ///
-/// Hooks are `Send + Sync`: segments recorded on worker threads (see
-/// [`crate::record_segment`]) move back to the main thread for splicing,
-/// and [`Graph::backward_parallel`] *replays* spliced segments on worker
-/// threads through shared references. Hooks only ever capture owned
-/// tensors and plain data, and replay never runs the same hook twice.
+/// Hooks capture only owned tensors and plain data, so they are
+/// `Send + Sync` and a whole [`Graph`] can move between threads.
 pub type BackwardFn = Box<dyn Fn(&Tensor) -> Vec<Option<Tensor>> + Send + Sync>;
 
 pub(crate) struct Node {
@@ -29,25 +22,6 @@ pub(crate) struct Node {
     pub(crate) parents: Vec<usize>,
     pub(crate) backward: Option<BackwardFn>,
     pub(crate) requires_grad: bool,
-}
-
-/// Id range of one spliced [`crate::TapeSegment`] plus the main-tape ids
-/// its import proxies were remapped to — the segment-boundary bookkeeping
-/// [`Graph::backward_parallel`] uses to partition the reverse pass.
-///
-/// Every parent link of a node inside `[start, end)` either stays inside
-/// the range or points at one of `imports` (segment nodes can only refer
-/// to earlier tape positions through their import table), so the span is
-/// a self-contained gradient subtree whose only external outputs are the
-/// import targets.
-#[derive(Debug, Clone)]
-pub(crate) struct SpliceSpan {
-    /// First main-tape id of the spliced run.
-    pub(crate) start: usize,
-    /// One past the last main-tape id of the spliced run.
-    pub(crate) end: usize,
-    /// Main-tape ids of the segment's import targets (all `< start`).
-    pub(crate) imports: Vec<usize>,
 }
 
 /// A define-by-run autodiff tape.
@@ -71,28 +45,9 @@ pub(crate) struct SpliceSpan {
 /// assert_eq!(grads.grad(a).unwrap().as_slice(), &[3.0, 4.0]);
 /// assert_eq!(grads.grad(b).unwrap().as_slice(), &[1.0, 2.0]);
 /// ```
+#[derive(Default)]
 pub struct Graph {
     pub(crate) nodes: RefCell<Vec<Node>>,
-    /// Process-unique tape identity. Segment imports are stamped with it
-    /// so a splice onto a *different* graph — e.g. a staged build held
-    /// across steps, whose node ids would recur deterministically on the
-    /// next step's tape — fails loudly instead of wiring values from one
-    /// step to gradients of another.
-    pub(crate) nonce: u64,
-    /// Boundaries of every spliced segment, in splice (= tape) order.
-    /// [`Graph::backward_parallel`] replays eligible spans concurrently.
-    pub(crate) spans: RefCell<Vec<SpliceSpan>>,
-}
-
-impl Default for Graph {
-    fn default() -> Self {
-        static NEXT_NONCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        Self {
-            nodes: RefCell::new(Vec::new()),
-            nonce: NEXT_NONCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-            spans: RefCell::new(Vec::new()),
-        }
-    }
 }
 
 impl std::fmt::Debug for Graph {
@@ -196,318 +151,73 @@ impl Graph {
 
     /// Runs reverse-mode accumulation from a scalar `loss` node.
     ///
+    /// Visits the nodes from `loss` down to the first one, each once, in
+    /// descending id order. A node's hook runs once its gradient is final;
+    /// every parent contribution lands in the parent's slot in parent
+    /// order — the first moves in, later ones accumulate via `axpy`. Nodes
+    /// recorded after `loss` are never visited.
+    ///
     /// # Panics
     ///
     /// Panics if `loss` is not a single-element tensor or belongs to another
     /// graph.
     pub fn backward(&self, loss: Var<'_>) -> Gradients {
-        // One stable `backward` span per logical pass: the parallel
-        // entry point either delegates here (serial fallback) or opens
-        // its own — never both.
         let _span = adept_telemetry::span("backward");
         BACKWARD_RUNS.incr();
+        assert!(std::ptr::eq(loss.graph, self), "loss from another graph");
         let nodes = self.nodes.borrow();
-        let mut grads = seed_grads(&nodes, self, loss);
-        {
-            // In the serial replay glue and span interiors are fused;
-            // attribute the whole sweep to glue (zero span replays).
-            let _glue = adept_telemetry::span_volatile("backward/glue_sweep");
-            replay_serial_range(&nodes, &mut grads, 0, loss.id + 1);
-        }
-        Gradients { grads }
-    }
-
-    /// Reverse-mode accumulation with the spliced gradient subtrees
-    /// replayed concurrently on the shared thread pool.
-    ///
-    /// The tape is partitioned at the segment boundaries recorded by
-    /// [`Graph::splice`]: each eligible span (a per-weight `[stack, stack,
-    /// noise, U-walk, V-walk]` build, say) replays its backward hooks on a
-    /// worker thread against a private gradient buffer, while the glue
-    /// between spans — forward ops, Σ products, tile-grid assemblies — runs
-    /// on the calling thread in serial order. Cross-segment accumulation
-    /// happens on the calling thread in fixed splice (layer-index) order:
-    ///
-    /// 1. **Sweep** (main thread, descending ids): replay every non-span
-    ///    node from the loss down to the lowest span start. When the sweep
-    ///    passes a span this fixes the span's incoming gradients (all its
-    ///    consumers live at higher ids).
-    /// 2. **Replay** (worker threads): each span runs the *identical*
-    ///    reverse loop over its own id range; contributions to imports are
-    ///    collected in serial emission order instead of applied.
-    /// 3. **Merge** (main thread, descending span order — exactly where the
-    ///    serial walk would have emitted them): apply every span's import
-    ///    contributions, then finish the tape below the lowest span.
-    ///
-    /// Because every accumulation lands in the same slot in the same order
-    /// as [`Graph::backward`], the result is **bit-identical** to the
-    /// serial replay at every thread count — the invariant pinned by the
-    /// root `parallel_backward` suite. Spans whose imports reach into other
-    /// spans (or tapes where between-span glue touches another span's
-    /// imports) fall back to the serial replay rather than risk reordering
-    /// a single accumulation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `loss` is not a single-element tensor or belongs to
-    /// another graph.
-    pub fn backward_parallel(&self, loss: Var<'_>) -> Gradients {
-        if adept_tensor::gemm_thread_count() <= 1 {
-            // Check threads before the span-eligibility analysis, so the
-            // single-threaded fallback (an entire CI determinism leg) pays
-            // nothing for the partitioning it would throw away.
-            return self.backward(loss);
-        }
-        let spans = self.replayable_spans(loss.id);
-        if spans.is_empty() {
-            return self.backward(loss);
-        }
-        let _span = adept_telemetry::span("backward");
-        BACKWARD_RUNS.incr();
-        let nodes_guard = self.nodes.borrow();
-        let nodes: &[Node] = &nodes_guard;
-        let mut grads = seed_grads(nodes, self, loss);
-        let bottom = spans[0].start;
-
-        // Phase 1: serial sweep from the loss down to `bottom`, skipping
-        // span interiors (their consumers all live above them, so their
-        // incoming gradients are final once the sweep passes).
-        {
-            let _glue = adept_telemetry::span_volatile("backward/glue_sweep");
-            let mut hi = loss.id + 1;
-            for span in spans.iter().rev() {
-                replay_serial_range(nodes, &mut grads, span.end, hi);
-                hi = span.start;
-            }
-            debug_assert_eq!(hi, bottom);
-        }
-
-        // Phase 2: snapshot each span's incoming gradients and replay the
-        // spans concurrently. Spans with no incoming gradient (the loss
-        // never consumed their results) are skipped outright — the serial
-        // walk would not have visited them either.
-        let snapshots: Vec<Vec<Option<Tensor>>> = spans
-            .iter()
-            .map(|s| grads[s.start..s.end].iter_mut().map(Option::take).collect())
-            .collect();
-        let mut results: Vec<Option<SpanReplay>> = (0..spans.len()).map(|_| None).collect();
-        adept_tensor::pool::scope(|scope| {
-            for ((span, snap), slot) in spans.iter().zip(snapshots).zip(results.iter_mut()) {
-                if snap.iter().all(Option::is_none) {
-                    *slot = Some(SpanReplay::default());
-                    continue;
-                }
-                SPANS_REPLAYED.incr();
-                scope.spawn(move || {
-                    let _replay = adept_telemetry::span_volatile("backward/span_replay");
-                    *slot = Some(replay_span(nodes, span, snap));
-                });
-            }
-        });
-
-        // Phase 3: merge in descending span order — the position at which
-        // the serial walk emits each span's import contributions, between
-        // the glue above and the glue below the span.
-        {
-            let _merge = adept_telemetry::span_volatile("backward/merge");
-            for (span, result) in spans.iter().zip(results).rev() {
-                let replay = result.expect("every span replay fills its slot");
-                for (pid, pg) in replay.external {
-                    debug_assert!(pid < bottom, "span {span:?} leaked into the swept region");
-                    accumulate(&mut grads[pid], pg);
-                }
-                for (id, g) in replay.leaves {
-                    grads[id] = Some(g);
-                }
-            }
-        }
-
-        // Phase 4: finish the tape below the lowest span serially.
-        {
-            let _glue = adept_telemetry::span_volatile("backward/glue_sweep");
-            replay_serial_range(nodes, &mut grads, 0, bottom);
-        }
-        Gradients { grads }
-    }
-
-    /// The spliced spans [`Graph::backward_parallel`] may replay off the
-    /// main thread for a backward pass from `loss_id`, in ascending tape
-    /// order. Returns an empty vector (serial fallback) when concurrent
-    /// replay could reorder even one accumulation:
-    ///
-    /// * spans recording nodes past the loss are out of replay range and
-    ///   demote to glue;
-    /// * a span whose imports reach **at or above** the lowest span start
-    ///   (e.g. the legacy interleaved walk, where layer `i+1`'s parameter
-    ///   leaves sit between spans) is demoted to glue — its targets are
-    ///   processed mid-sweep, where a deferred merge could not preserve
-    ///   the serial accumulation order;
-    /// * if any glue node between the spans feeds a gradient into a
-    ///   remaining span's import targets, the whole pass falls back to
-    ///   serial — merge order and sweep order would interleave.
-    fn replayable_spans(&self, loss_id: usize) -> Vec<SpliceSpan> {
-        let spans = self.spans.borrow();
-        let mut candidates: Vec<SpliceSpan> = spans
-            .iter()
-            .filter(|s| s.end > s.start && s.end <= loss_id + 1)
-            .cloned()
-            .collect();
-        if candidates.is_empty() {
-            return candidates;
-        }
-        // The first span's imports precede it by construction, so `bottom`
-        // is stable under the retain below.
-        let bottom = candidates[0].start;
-        candidates.retain(|s| s.imports.iter().all(|&t| t < bottom));
-        let union: std::collections::HashSet<usize> = candidates
-            .iter()
-            .flat_map(|s| s.imports.iter().copied())
-            .collect();
-        let top = candidates.last().expect("non-empty").end;
-        // Glue-safety scan: no node processed mid-sweep may touch a span
-        // import target, or the deferred merge would reorder accumulation.
-        let nodes = self.nodes.borrow();
-        let mut span_iter = candidates.iter();
-        let mut current = span_iter.next();
-        let mut id = bottom;
-        while id < top {
-            if let Some(span) = current {
-                if id >= span.start {
-                    id = span.end;
-                    current = span_iter.next();
-                    continue;
-                }
-            }
-            if nodes[id].parents.iter().any(|p| union.contains(p)) {
-                return Vec::new();
-            }
-            id += 1;
-        }
-        candidates
-    }
-}
-
-/// Creates the gradient buffer for a backward pass from `loss`, seeded with
-/// `dL/dL = 1`.
-///
-/// # Panics
-///
-/// Panics if `loss` is not a single-element tensor or belongs to another
-/// graph.
-fn seed_grads(nodes: &[Node], graph: &Graph, loss: Var<'_>) -> Vec<Option<Tensor>> {
-    assert!(std::ptr::eq(loss.graph, graph), "loss from another graph");
-    assert_eq!(
-        nodes[loss.id].value.len(),
-        1,
-        "backward() requires a scalar loss, got shape {:?}",
-        nodes[loss.id].value.shape()
-    );
-    let mut grads: Vec<Option<Tensor>> = vec![None; nodes.len()];
-    let mut seed = Tensor::zeros(nodes[loss.id].value.shape());
-    seed.as_mut_slice()[0] = 1.0;
-    grads[loss.id] = Some(seed);
-    grads
-}
-
-/// Applies one parent contribution exactly the way the serial loop does:
-/// the first contribution moves in, later ones accumulate via `axpy`.
-/// Every code path of the backward machinery funnels through this single
-/// function, so serial and parallel replay cannot diverge bitwise.
-fn accumulate(slot: &mut Option<Tensor>, pg: Tensor) {
-    match slot {
-        Some(acc) => acc.axpy(1.0, &pg),
-        slot => *slot = Some(pg),
-    }
-}
-
-/// Runs one node's backward hook and feeds every surviving parent
-/// contribution (hook returned `Some`, parent requires grad, shape
-/// checked) to `emit` in parent order.
-fn distribute(nodes: &[Node], id: usize, grad: &Tensor, mut emit: impl FnMut(usize, Tensor)) {
-    let node = &nodes[id];
-    let backward = node.backward.as_ref().expect("distribute needs a hook");
-    let parent_grads = backward(grad);
-    assert_eq!(
-        parent_grads.len(),
-        node.parents.len(),
-        "backward returned {} grads for {} parents",
-        parent_grads.len(),
-        node.parents.len()
-    );
-    for (pid, pg) in node.parents.iter().zip(parent_grads) {
-        let Some(pg) = pg else { continue };
-        if !nodes[*pid].requires_grad {
-            continue;
-        }
         assert_eq!(
-            pg.shape(),
-            nodes[*pid].value.shape(),
-            "gradient shape mismatch for node {pid}"
+            nodes[loss.id].value.len(),
+            1,
+            "backward() requires a scalar loss, got shape {:?}",
+            nodes[loss.id].value.shape()
         );
-        emit(*pid, pg);
-    }
-}
-
-/// The serial reverse loop over ids `[lo, hi)`, reading and writing the
-/// full-tape gradient buffer. [`Graph::backward`] runs it over the whole
-/// tape; [`Graph::backward_parallel`] runs it over the glue between spans.
-fn replay_serial_range(nodes: &[Node], grads: &mut [Option<Tensor>], lo: usize, hi: usize) {
-    for id in (lo..hi).rev() {
-        let Some(grad) = grads[id].take() else {
-            continue;
-        };
-        let node = &nodes[id];
-        if !node.requires_grad {
-            continue;
-        }
-        if node.backward.is_some() {
-            distribute(nodes, id, &grad, |pid, pg| accumulate(&mut grads[pid], pg));
-        } else if node.parents.is_empty() {
-            // Leaf: keep its gradient for the caller.
-            grads[id] = Some(grad);
-        }
-    }
-}
-
-/// Output of one span's off-thread backward replay.
-#[derive(Default)]
-struct SpanReplay {
-    /// Contributions to import targets (`id < span.start`), in the exact
-    /// order the serial walk would have emitted them.
-    external: Vec<(usize, Tensor)>,
-    /// Gradients of leaves recorded *inside* the segment (rare — a segment
-    /// closure may create private leaves), written back verbatim.
-    leaves: Vec<(usize, Tensor)>,
-}
-
-/// Replays the backward hooks of one span against a private gradient
-/// buffer. Intra-span contributions accumulate locally (same slot, same
-/// order as serial); contributions to imports are deferred for the
-/// main-thread merge. Runs the identical per-node step as
-/// [`replay_serial_range`].
-fn replay_span(nodes: &[Node], span: &SpliceSpan, mut local: Vec<Option<Tensor>>) -> SpanReplay {
-    let mut out = SpanReplay::default();
-    for id in (span.start..span.end).rev() {
-        let Some(grad) = local[id - span.start].take() else {
-            continue;
-        };
-        let node = &nodes[id];
-        if !node.requires_grad {
-            continue;
-        }
-        if node.backward.is_some() {
-            distribute(nodes, id, &grad, |pid, pg| {
-                if pid >= span.start {
-                    accumulate(&mut local[pid - span.start], pg);
-                } else {
-                    out.external.push((pid, pg));
+        let mut grads: Vec<Option<Tensor>> = vec![None; nodes.len()];
+        let mut seed = Tensor::zeros(nodes[loss.id].value.shape());
+        seed.as_mut_slice()[0] = 1.0;
+        grads[loss.id] = Some(seed);
+        let _sweep = adept_telemetry::span_volatile("backward/glue_sweep");
+        for id in (0..=loss.id).rev() {
+            let Some(grad) = grads[id].take() else {
+                continue;
+            };
+            let node = &nodes[id];
+            if !node.requires_grad {
+                continue;
+            }
+            let Some(backward) = &node.backward else {
+                if node.parents.is_empty() {
+                    // Leaf: keep its gradient for the caller.
+                    grads[id] = Some(grad);
                 }
-            });
-        } else if node.parents.is_empty() {
-            out.leaves.push((id, grad));
+                continue;
+            };
+            let parent_grads = backward(&grad);
+            assert_eq!(
+                parent_grads.len(),
+                node.parents.len(),
+                "backward returned {} grads for {} parents",
+                parent_grads.len(),
+                node.parents.len()
+            );
+            for (&pid, pg) in node.parents.iter().zip(parent_grads) {
+                let Some(pg) = pg else { continue };
+                if !nodes[pid].requires_grad {
+                    continue;
+                }
+                assert_eq!(
+                    pg.shape(),
+                    nodes[pid].value.shape(),
+                    "gradient shape mismatch for node {pid}"
+                );
+                match &mut grads[pid] {
+                    Some(acc) => acc.axpy(1.0, &pg),
+                    slot => *slot = Some(pg),
+                }
+            }
         }
+        Gradients { grads }
     }
-    out
 }
 
 /// A handle to one node in a [`Graph`].
@@ -627,6 +337,18 @@ mod tests {
         let y = x.detach().mul(x).sum(); // treated as c*x with c=2
         let grads = g.backward(y);
         assert_eq!(grads.grad(x).unwrap().as_slice(), &[2.0]);
+    }
+
+    #[test]
+    fn nodes_recorded_after_the_loss_are_ignored() {
+        let g = Graph::new();
+        let x = g.leaf(Tensor::from_vec(vec![1.0, 2.0], &[2]));
+        let loss = x.square().sum();
+        let unused = g.leaf(Tensor::from_vec(vec![5.0], &[1]));
+        let _after = x.mul_scalar(100.0).sum().add(unused.sum());
+        let grads = g.backward(loss);
+        assert_eq!(grads.grad(x).unwrap().as_slice(), &[2.0, 4.0]);
+        assert!(grads.grad(unused).is_none());
     }
 
     #[test]

@@ -7,23 +7,11 @@
 //! * a [`Graph`] records operations as they execute;
 //! * [`Var`] is a lightweight handle into the tape with operator methods
 //!   (`add`, `matmul`, `softmax_rows`, …);
-//! * [`Graph::backward`] runs reverse-mode accumulation and returns
-//!   [`Gradients`] for every leaf;
-//! * [`Graph::backward_parallel`] replays the spliced gradient subtrees
-//!   (the per-weight build segments) concurrently on the shared thread
-//!   pool, with every cross-segment accumulation applied on the calling
-//!   thread in fixed splice order — **bit-identical** to the serial replay
-//!   at every thread count (the accumulation-order invariant pinned by the
-//!   root `parallel_backward` suite);
+//! * [`Graph::backward`] runs reverse-mode accumulation in one serial sweep
+//!   on the calling thread and returns [`Gradients`] for every leaf;
 //! * [`Graph::custom`] is the escape hatch used by higher layers for
 //!   hand-derived gradients (batch-norm, pooling, straight-through
 //!   estimators);
-//! * [`record_segment`]/[`Graph::splice`] detach a stretch of tape onto a
-//!   private sub-tape — buildable on a worker thread — and splice it back
-//!   so node ids, values and gradients are bit-identical to direct serial
-//!   recording (the substrate of the parallel weight-build scheduler in
-//!   `adept-nn`; see [`subtape`'s module docs](crate::record_segment) for
-//!   the splice invariant);
 //! * [`check_gradients`] verifies analytic gradients against central finite
 //!   differences — every op in this crate is covered by such a test.
 //!
@@ -50,13 +38,11 @@ mod ops_batched;
 mod ops_elementwise;
 mod ops_matrix;
 mod ops_nn;
-mod subtape;
 
 pub use gradcheck::{check_gradients, GradCheckError};
 pub use graph::{BackwardFn, Gradients, Graph, Var};
 pub use ops_batched::{batched_permute_rows, batched_phase_rotate, batched_tile_product_grid};
 pub use ops_matrix::{assemble_blocks, assemble_tiles, batched_tile_product, stack};
-pub use subtape::{record_segment, record_segment_pair, ImportSpec, TapeSegment};
 
 /// Convenience re-export so downstream crates need only one `use`.
 pub use adept_tensor::Tensor;

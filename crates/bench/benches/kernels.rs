@@ -4,14 +4,13 @@
 use adept_autodiff::Graph;
 use adept_linalg::{polar_orthogonal, svd, Permutation};
 use adept_nn::onn::PtcWeight;
-use adept_nn::{prebuild_ptc_weights, ForwardCtx, ParamStore};
+use adept_nn::{ForwardCtx, ParamStore};
 use adept_photonics::clements::decompose;
 use adept_photonics::devices::crossing_matrix;
 use adept_photonics::BlockMeshTopology;
 use adept_tensor::{
     batched_matmul_into, gemm_micro_into, gemm_scalar_ref_into, im2col, im2col_into, matmul_into,
-    matmul_into_one_axis_partition, set_gemm_threads, set_wide_gemm_cols, Conv2dGeometry, Tensor,
-    Tile,
+    matmul_into_one_axis_partition, set_gemm_threads, Conv2dGeometry, Tensor, Tile,
 };
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -210,98 +209,6 @@ fn bench_im2col_reuse(c: &mut Criterion) {
     group.finish();
 }
 
-/// The parallel weight-build scheduler on a 4-layer 64×64 K=8 model: one
-/// full multi-layer build (forward values materialized) per iteration.
-/// `serial` pins one thread (the legacy serial walk); `parallel` uses the
-/// configured thread count — on 2+ cores the layer- and U/V-level fan-out
-/// should cut wall-clock ≥1.5×. Both schedules produce bit-identical tapes.
-fn bench_weight_build_sched(c: &mut Criterion) {
-    let mut store = ParamStore::new();
-    let topo = BlockMeshTopology::butterfly(8);
-    let layers: Vec<PtcWeight> = (0..4)
-        .map(|i| {
-            PtcWeight::new(
-                &mut store,
-                &format!("w{i}"),
-                64,
-                64,
-                topo.clone(),
-                topo.clone(),
-                8 + i as u64,
-            )
-        })
-        .collect();
-    let weights: Vec<&PtcWeight> = layers.iter().collect();
-    let step = |store: &ParamStore, weights: &[&PtcWeight]| -> f64 {
-        let graph = Graph::new();
-        let ctx = ForwardCtx::new(&graph, store, false, 0);
-        prebuild_ptc_weights(&ctx, weights);
-        weights
-            .iter()
-            .map(|w| w.build(&ctx).value().at(&[0, 0]))
-            .sum()
-    };
-    let mut group = c.benchmark_group("weight_build_sched");
-    group.bench_function("serial", |b| {
-        set_gemm_threads(1);
-        b.iter(|| black_box(step(&store, &weights)));
-        set_gemm_threads(0);
-    });
-    group.bench_function("parallel", |b| {
-        b.iter(|| black_box(step(&store, &weights)));
-    });
-    group.finish();
-}
-
-/// The parallel backward scheduler on the `weight_build_sched` model (4
-/// prebuilt 64×64 K=8 weights feeding one scalar loss): `serial` replays
-/// the tape with `Graph::backward` at one pinned thread, `parallel` with
-/// `Graph::backward_parallel` at the configured count, which evaluates
-/// the four spliced mesh-walk segments' gradient subtrees concurrently.
-/// Both replays produce bit-identical gradients (root `parallel_backward`
-/// suite); on 2+ cores the span fan-out should cut the reverse-pass
-/// wall-clock the way the forward scheduler cut the build.
-fn bench_backward_replay(c: &mut Criterion) {
-    let mut store = ParamStore::new();
-    let topo = BlockMeshTopology::butterfly(8);
-    let layers: Vec<PtcWeight> = (0..4)
-        .map(|i| {
-            PtcWeight::new(
-                &mut store,
-                &format!("w{i}"),
-                64,
-                64,
-                topo.clone(),
-                topo.clone(),
-                90 + i as u64,
-            )
-        })
-        .collect();
-    let weights: Vec<&PtcWeight> = layers.iter().collect();
-    let graph = Graph::new();
-    let ctx = ForwardCtx::new(&graph, &store, true, 0);
-    prebuild_ptc_weights(&ctx, &weights);
-    let mut loss: Option<adept_autodiff::Var<'_>> = None;
-    for w in &weights {
-        let term = w.build(&ctx).square().sum();
-        loss = Some(match loss {
-            None => term,
-            Some(acc) => acc.add(term),
-        });
-    }
-    let loss = loss.expect("four weights");
-    let mut group = c.benchmark_group("backward_replay");
-    group.bench_function("serial", |b| {
-        set_gemm_threads(1);
-        b.iter(|| black_box(graph.backward(loss)));
-        set_gemm_threads(0);
-    });
-    group.bench_function("parallel", |b| {
-        b.iter(|| black_box(graph.backward_parallel(loss)));
-    });
-    group.finish();
-}
-
 /// The im2col'd conv forward shape `W·cols` (few output rows, thousands of
 /// output-pixel columns): the legacy one-axis partition vs the ragged
 /// [`adept_tensor::GemmSpec`] sweep over (row-slab × column-block) cells.
@@ -337,21 +244,6 @@ fn bench_conv_forward(c: &mut Criterion) {
             black_box(out.at(&[0, 0]))
         });
     });
-    // Cache-level tuning sweep of the ragged sweep's column-block width
-    // (the `ONN_WIDE_COLS` knob). Every width produces bit-identical
-    // results — chunking only repartitions disjoint output blocks — so the
-    // fastest width is purely a cache/balance trade-off; the swept winner
-    // is baked in as the auto default (`WIDE_COL_CHUNK_DEFAULT`).
-    for &cols_chunk in &[128usize, 256, 512, 1024, 2048] {
-        set_wide_gemm_cols(cols_chunk);
-        group.bench_function(format!("wide_cols_{cols_chunk}"), |b| {
-            b.iter(|| {
-                matmul_into(w.as_slice(), cols.as_slice(), out.as_mut_slice(), m, k, n);
-                black_box(out.at(&[0, 0]))
-            });
-        });
-    }
-    set_wide_gemm_cols(0);
     group.finish();
     set_gemm_threads(0);
 }
@@ -398,8 +290,6 @@ criterion_group!(
     bench_tile_assembly,
     bench_unitary_build,
     bench_im2col_reuse,
-    bench_weight_build_sched,
-    bench_backward_replay,
     bench_conv_forward
 );
 criterion_main!(benches);

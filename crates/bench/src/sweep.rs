@@ -8,8 +8,7 @@
 //! sharing one fault seed so damage nests monotonically as `p` grows) and
 //! the frozen phase-noise draw are baked into the plan's weights through
 //! the same batched `[T, B, K]` mesh build the tape uses. Plans compile
-//! sequentially (the mesh build already parallelizes internally via
-//! `prebuild_mesh_weights`), then **all cells evaluate concurrently** on
+//! sequentially, then **all cells evaluate concurrently** on
 //! the shared [`adept_tensor::pool`] — each cell owns its plan, so the
 //! grid is embarrassingly parallel and, because every number is seeded,
 //! bit-stable across `ONN_THREADS`.

@@ -33,9 +33,8 @@ pub trait Layer {
 
     /// Mesh weights this layer materializes each step, in forward order.
     ///
-    /// The parallel build engine
-    /// ([`crate::mesh::prebuild_mesh_weights`]) collects these across a
-    /// model and constructs their mesh unitaries concurrently before the
+    /// The build engine ([`crate::mesh::prebuild_mesh_weights`]) collects
+    /// these across a model and records them in this order before the
     /// forward pass; layers without photonic weights report none.
     fn mesh_weights<'g>(&self) -> Vec<&dyn crate::mesh::MeshWeight<'g>> {
         Vec::new()
@@ -59,7 +58,7 @@ pub trait Layer {
     }
 
     /// Appends this layer's tape-free inference steps to `out`
-    /// (see [`crate::lower`]). `ctx` is the staging context of
+    /// (see [`crate::lower`]). `ctx` is the prebuild context of
     /// [`crate::lower::lower_model`]: photonic layers build their frozen
     /// weight matrices through it, consuming the prebuilt cache and the
     /// shared RNG exactly as a tape forward would. The default declines,

@@ -22,24 +22,22 @@
 //!   (Gaussian phase noise injected during training, paper §4.1) and
 //!   fault-aware retraining: [`ForwardCtx::with_faults`] carries a static
 //!   [`adept_photonics::FaultScenario`] that the mesh build realizes as
-//!   stage-time phase deltas ([`train::TrainConfig`]'s `fault`,
+//!   build-time phase deltas ([`train::TrainConfig`]'s `fault`,
 //!   [`train::evaluate_faulted`]) — with faults off the tape stays
 //!   byte-identical;
 //! * [`mesh`] — the topology-driven mesh-weight API: the object-safe
-//!   [`mesh::MeshWeight`] trait (stage → record → splice + finish) and the
-//!   **single** build engine behind every mesh family — fixed-topology PTC
-//!   weights here, frame-bound SuperMesh search weights in `adept` — whose
-//!   parallel scheduler records every layer's mesh unitaries on private
-//!   sub-tapes across the shared thread pool and splices back in layer
-//!   order, bit-identical (node ids, values, noise draws, gradients) to
-//!   the serial walk at any thread count;
+//!   [`mesh::MeshWeight`] trait, whose one method records a weight on the
+//!   step's tape, and the build engine behind every mesh family —
+//!   fixed-topology PTC weights here, frame-bound SuperMesh search weights
+//!   in `adept` — that prebuilds a model's weights in layer order, so noise
+//!   draws, values and gradients match a forward pass that builds each
+//!   weight inside its layer;
 //! * [`lower`] — the tape-free lowering surface: [`lower::lower_model`]
 //!   freezes a trained model into flat [`lower::LoweredStep`]s (weight
 //!   matrices materialized once through the tape builder, bit-identical to
 //!   a forward pass) that the `adept-infer` compiler turns into an
 //!   allocation-free execution plan.
 
-pub mod build;
 pub mod checkpoint;
 pub mod layers;
 pub mod lower;
@@ -50,8 +48,7 @@ pub mod optim;
 mod param;
 pub mod train;
 
-pub use build::prebuild_ptc_weights;
 pub use checkpoint::{load_backend, save_backend, Checkpoint, CheckpointError, ModelArch};
 pub use lower::{lower_model, lower_model_faulted, LowerError, LoweredStep};
-pub use mesh::{build_mesh_weight, prebuild_mesh_weights, MeshWeight, StagedBuild};
+pub use mesh::{build_mesh_weight, prebuild_mesh_weights, MeshWeight};
 pub use param::{next_weight_uid, ForwardCtx, ParamId, ParamStore};

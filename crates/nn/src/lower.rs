@@ -8,8 +8,8 @@
 //! slice arithmetic.
 //!
 //! Weight materialization goes through the exact tape machinery a forward
-//! pass would use — [`crate::mesh::prebuild_mesh_weights`] staging plus
-//! `MeshWeight::build` on a throwaway graph — so the captured matrices are
+//! pass would use — [`crate::mesh::prebuild_mesh_weights`] plus each
+//! layer's weight `build` on a throwaway graph — so the captured matrices are
 //! **bit-identical** to what the tape forward multiplies by, including the
 //! noise stream: lowering with seed `s` draws the same phase noise, in the
 //! same order, as `evaluate_seeded` with seed `s`. The throwaway graph is
@@ -109,7 +109,7 @@ impl std::error::Error for LowerError {}
 
 /// Lowers a trained model into its flat step list.
 ///
-/// Runs the same staging walk as one evaluation batch — a throwaway graph,
+/// Runs the same prebuild as one evaluation batch — a throwaway graph,
 /// an eval-mode [`ForwardCtx`] seeded with `seed`, and
 /// [`prebuild_mesh_weights`] over the model's mesh weights — then asks each
 /// layer to append its [`LoweredStep`]s. Photonic layers consume their

@@ -1,94 +1,43 @@
-//! The topology-driven mesh-weight API and its single build engine.
+//! The topology-driven mesh-weight API and its build engine.
 //!
 //! Every photonic weight in the workspace — the fixed-topology
 //! [`crate::onn::PtcWeight`] (Clements-style dense routing, FFT butterflies,
 //! random meshes, frozen search outcomes) and the search-time
 //! `adept::supermesh::SuperPtcWeight` (bound to its per-step SuperMesh
-//! frames) — materializes on the tape through one discipline:
+//! frames) — materializes on the tape through one method,
+//! [`MeshWeight::record`]: it creates the weight's parameter leaves, draws
+//! any phase noise from the shared RNG and records the mesh-unitary walks,
+//! the Σ product and the grid assembly on the step's tape.
 //!
-//! 1. **Stage** (main thread, layer order): [`MeshWeight::stage`] creates
-//!    the weight's parameter leaves on the shared tape and draws any phase
-//!    noise from the shared RNG — exactly the serial walk's order, so leaf
-//!    ids and noise streams never depend on scheduling.
-//! 2. **Record** (any thread): [`MeshWeight::record_build_segment`] records
-//!    the mesh-unitary walks on a private sub-tape
-//!    ([`adept_autodiff::record_segment`]) against import proxies; within
-//!    one weight the independent U- and V-mesh walks may fork as two
-//!    concurrent sub-tape builds fused at the `Re(UΣ·Vᴴ)` tile product.
-//! 3. **Splice + finish** (main thread, layer order):
-//!    [`MeshWeight::finish_build`] splices the segment into the step tape
-//!    and records the Σ product and grid assembly — producing the
-//!    *identical* node sequence, values and gradients of a serial walk, at
-//!    every thread count.
-//!
-//! [`build_mesh_weight`] runs the three phases serially for one weight;
-//! [`prebuild_mesh_weights`] is the parallel scheduler, fanning phase 2
-//! out across the shared [`adept_tensor::pool`] and streaming phase 3 in
-//! layer-index order as each segment lands. Both operate on
-//! `&dyn MeshWeight`, so any mesh family that implements the trait joins
-//! the parallel build *and* the parallel backward replay
-//! (`Graph::backward_parallel` partitions at the spliced segment
-//! boundaries) for free. The bit-determinism guarantee is pinned by the
-//! root `tests/parallel_build.rs`, `tests/parallel_backward.rs` and
-//! `tests/mesh_api.rs` suites across thread counts {1, 2, 8}.
+//! [`build_mesh_weight`] records one weight, unless the step's prebuilt
+//! cache already holds it; [`prebuild_mesh_weights`] records a batch in
+//! layer order and fills that cache, so the forward pass consumes the
+//! weights without re-recording them. Both run on the calling thread and
+//! operate on `&dyn MeshWeight`, so any mesh family that implements the
+//! trait joins them. Layer order fixes the noise stream, so a prebuilt
+//! step and a step that builds each weight inside its layer's forward
+//! agree in every value and gradient bit (root `tests/mesh_build.rs`).
 
 use crate::param::{ForwardCtx, ParamId};
-use adept_autodiff::{ImportSpec, TapeSegment, Var};
-use adept_telemetry::sync::lock_recover;
+use adept_autodiff::Var;
 use adept_telemetry::Counter;
-use adept_tensor::{gemm_thread_count, pool, Tensor};
-use std::sync::Mutex;
 
-/// Logical build-phase totals: one stage/record/splice per weight per
-/// build, at any thread count — deterministic by the scheduler's
-/// contract, so they render in the snapshot's deterministic section.
-static WEIGHTS_STAGED: Counter = Counter::stable("mesh.weights_staged");
+/// Weights recorded by [`prebuild_mesh_weights`] — a logical total,
+/// identical at any thread count.
 static WEIGHTS_RECORDED: Counter = Counter::stable("mesh.weights_recorded");
-static SEGMENTS_SPLICED: Counter = Counter::stable("mesh.segments_spliced");
-
-/// Main-thread staging of one [`MeshWeight`] build: everything phase 2
-/// needs, packaged as plain `Send + Sync` data so the mesh walks can record
-/// on a worker thread.
-///
-/// The field layout is interpreted by the weight's own
-/// [`MeshWeight::record_build_segment`]; the engine never looks inside.
-#[derive(Default)]
-pub struct StagedBuild {
-    /// Import proxies for the sub-tape build, in the implementation's
-    /// order (typically the phase-parameter leaves followed by any
-    /// per-step inputs such as SuperMesh frame variables).
-    pub imports: Vec<ImportSpec>,
-    /// Pre-drawn noise tensors (drawn from the shared RNG during staging
-    /// to pin the stream order); empty when noise is disabled.
-    pub noise: Vec<Tensor>,
-    /// Fault deltas: per-phase constants computed at stage time from the
-    /// active [`adept_photonics::FaultScenario`] such that adding them to
-    /// the (noisy) programmed phases yields the faulted realized phases.
-    /// Empty when no faults are active — the record phase then skips the
-    /// add entirely and the tape is byte-identical to the healthy build.
-    pub fault_deltas: Vec<Tensor>,
-    /// Degraded `(U, V)` mesh topologies under coupler faults; `None`
-    /// leaves the weight's own topologies in place.
-    pub fault_topos: Option<(
-        adept_photonics::BlockMeshTopology,
-        adept_photonics::BlockMeshTopology,
-    )>,
-}
 
 /// A weight materialized from a parameterized photonic mesh.
 ///
 /// The object-safe surface the build engine needs: identity for the
 /// per-step prebuilt cache ([`MeshWeight::uid`] + [`MeshWeight::build_tag`]),
-/// the trainable handles ([`MeshWeight::param_ids`]), and the three build
-/// phases. Implementations must be `Sync`: phase 2 runs on pool workers
-/// against a shared reference.
+/// the trainable handles ([`MeshWeight::param_ids`]), and the build itself
+/// ([`MeshWeight::record`]).
 ///
 /// The lifetime `'g` is the step tape's; implementations that carry no
 /// per-step tape state (e.g. `PtcWeight`) implement the trait for every
 /// `'g`, while per-step bindings (e.g. the SuperMesh `BoundSuperWeight`)
-/// capture their step inputs as [`ImportSpec`]s so the binding itself
-/// stays `Sync`.
-pub trait MeshWeight<'g>: Sync {
+/// borrow their step inputs from that tape.
+pub trait MeshWeight<'g> {
     /// Process-unique id of this weight — the key of the per-step prebuilt
     /// cache (see [`ForwardCtx::take_prebuilt`]).
     fn uid(&self) -> u64;
@@ -98,7 +47,7 @@ pub trait MeshWeight<'g>: Sync {
 
     /// Fingerprint of the per-step inputs the build is wired to (the
     /// SuperMesh frame variables for search weights). A `build` call
-    /// presenting a different tag than the scheduler used panics instead
+    /// presenting a different tag than the prebuild used panics instead
     /// of silently rebinding the cached weight. Weights whose build
     /// depends only on their own parameters return 0 (the default).
     fn build_tag(&self) -> u64 {
@@ -114,155 +63,44 @@ pub trait MeshWeight<'g>: Sync {
         false
     }
 
-    /// Build phase 1 (main thread): creates the parameter leaves on the
-    /// shared tape and draws any noise from the shared RNG — both in the
-    /// exact order of the serial walk, so staging all weights in layer
-    /// order pins leaf ids and noise draws regardless of how phase 2 is
-    /// scheduled.
-    fn stage(&self, ctx: &ForwardCtx<'g, '_>) -> StagedBuild;
-
-    /// Build phase 2 (any thread): records the mesh-unitary walks on a
-    /// private sub-tape. With `parallel_uv` set the two independent mesh
-    /// walks fork as concurrent sub-tape builds, spliced back in
-    /// U-then-V order so the node sequence is identical to the serial
-    /// walk. Must be deterministic.
-    fn record_build_segment(&self, staged: &StagedBuild, parallel_uv: bool) -> TapeSegment;
-
-    /// Build phase 3 (main thread): splices the mesh-walk segment into the
-    /// step tape and records the serial walk's exact tail (Σ product and
-    /// grid assembly), returning the finished weight variable.
-    fn finish_build(&self, ctx: &ForwardCtx<'g, '_>, segment: TapeSegment) -> Var<'g>;
+    /// Records the weight on `ctx.graph` and returns the finished weight
+    /// variable: the parameter leaves, any phase noise drawn from the
+    /// shared RNG, the mesh-unitary walks, and the tail that turns them
+    /// into the weight matrix. Must be deterministic given the context.
+    fn record(&self, ctx: &ForwardCtx<'g, '_>) -> Var<'g>;
 }
 
-/// Materializes one mesh weight on the tape through the three-phase walk,
-/// consuming the step's prebuilt cache when the parallel scheduler already
-/// built it (see [`prebuild_mesh_weights`]).
+/// Materializes one mesh weight on the tape, consuming the step's prebuilt
+/// cache when [`prebuild_mesh_weights`] already recorded it.
 ///
-/// This is the **single serial build path** behind every mesh family's
-/// `build` method; the splice invariant of
-/// [`adept_autodiff::record_segment`] guarantees it records the exact node
-/// sequence of a direct monolithic walk.
+/// This is the build path behind every mesh family's `build` method.
 pub fn build_mesh_weight<'g>(ctx: &ForwardCtx<'g, '_>, weight: &dyn MeshWeight<'g>) -> Var<'g> {
     if let Some(prebuilt) = ctx.take_prebuilt(weight.uid(), weight.build_tag()) {
         return prebuilt;
     }
-    let staged = weight.stage(ctx);
-    let segment = weight.record_build_segment(&staged, false);
-    weight.finish_build(ctx, segment)
+    weight.record(ctx)
 }
 
-/// Builds every weight's mesh-unitary segment concurrently and registers
-/// the finished weight variables in `ctx`'s prebuilt cache (keyed by
-/// [`MeshWeight::uid`] and tagged with [`MeshWeight::build_tag`]), so the
-/// subsequent forward pass consumes them without re-recording.
+/// Records every weight in layer order and registers the finished weight
+/// variables in `ctx`'s prebuilt cache (keyed by [`MeshWeight::uid`] and
+/// tagged with [`MeshWeight::build_tag`]), so the subsequent forward pass
+/// consumes them without re-recording.
 ///
-/// This is the **only** stage→record→splice scheduler in the workspace:
-/// fixed-topology PTC weights and frame-bound SuperMesh weights — even
-/// mixed in one batch — all fan out through it. With one configured thread
-/// (or one weight and no pool win) it runs the serial staged walk — same
-/// code path, same tape, zero scheduling. The resulting tape is
-/// bit-identical either way.
+/// Fixed-topology PTC weights and frame-bound SuperMesh weights — even
+/// mixed in one batch — all go through it.
 pub fn prebuild_mesh_weights<'g>(ctx: &ForwardCtx<'g, '_>, weights: &[&dyn MeshWeight<'g>]) {
     if weights.is_empty() {
         return;
     }
     let _build_span = adept_telemetry::span("mesh_build");
-    // Phase 1: stage in layer order on the main thread (tape + RNG order).
-    let staged: Vec<StagedBuild> = {
-        let _stage_span = adept_telemetry::span("mesh_build/stage");
-        weights.iter().map(|w| w.stage(ctx)).collect()
-    };
-    WEIGHTS_STAGED.add(weights.len() as u64);
-    // Phases 2+3: record on the pool, splice + finish on this thread in
-    // layer-index order as each weight's segment lands.
-    schedule_segments(
-        weights,
-        &staged,
-        |w, st, par| w.record_build_segment(st, par),
-        |i, segment| {
-            let weight = weights[i].finish_build(ctx, segment);
-            ctx.register_prebuilt(weights[i].uid(), weights[i].build_tag(), weight);
-        },
-    );
-}
-
-/// Phases 2+3 of the build engine: records one tape segment per staged
-/// weight — concurrently on the shared pool when more than one thread is
-/// configured, serially (and with the in-weight U/V fork disabled)
-/// otherwise — and hands each segment to `finish` **in layer-index order,
-/// as soon as it lands**. Weight `i` splices while weights `i+1..` are
-/// still recording, so the main thread never barriers on the whole batch
-/// (the tails are cheap, but on many-layer models the old barrier left it
-/// idle).
-///
-/// `record(weight, staged, parallel_within)` must be deterministic, and
-/// `finish` runs on the calling thread in index order regardless of how
-/// the record jobs were scheduled — which is what keeps the spliced tape
-/// bit-identical at every thread count.
-///
-/// Private on purpose: every caller must go through
-/// [`prebuild_mesh_weights`], whose staging phase and prebuilt-cache
-/// registration are part of the determinism contract.
-fn schedule_segments<W, S>(
-    weights: &[&W],
-    staged: &[S],
-    record: impl Fn(&W, &S, bool) -> TapeSegment + Sync,
-    mut finish: impl FnMut(usize, TapeSegment),
-) where
-    W: Sync + ?Sized,
-    S: Sync,
-{
-    assert_eq!(weights.len(), staged.len(), "one staging per weight");
-    // The record/splice spans live here, inside the scheduler, so the
-    // serial path and the pooled path emit the same per-weight span
-    // counts — the determinism the CI telemetry leg diffs.
-    if gemm_thread_count() <= 1 {
-        for (i, (w, st)) in weights.iter().zip(staged).enumerate() {
-            let segment = {
-                let _span = adept_telemetry::span("mesh_build/record");
-                record(w, st, false)
-            };
-            WEIGHTS_RECORDED.incr();
-            let _span = adept_telemetry::span("mesh_build/splice");
-            finish(i, segment);
-            SEGMENTS_SPLICED.incr();
-        }
-        return;
+    for w in weights {
+        let weight = {
+            let _span = adept_telemetry::span("mesh_build/record");
+            w.record(ctx)
+        };
+        WEIGHTS_RECORDED.incr();
+        ctx.register_prebuilt(w.uid(), w.build_tag(), weight);
     }
-    let slots: Vec<Mutex<Option<TapeSegment>>> =
-        (0..weights.len()).map(|_| Mutex::new(None)).collect();
-    pool::scope(|scope| {
-        let handles: Vec<pool::JobHandle> = weights
-            .iter()
-            .zip(staged)
-            .zip(&slots)
-            .map(|((w, st), slot)| {
-                let record = &record;
-                scope.spawn_handle(move || {
-                    let segment = {
-                        let _span = adept_telemetry::span("mesh_build/record");
-                        record(w, st, true)
-                    };
-                    WEIGHTS_RECORDED.incr();
-                    *lock_recover(slot) = Some(segment);
-                })
-            })
-            .collect();
-        for (i, handle) in handles.iter().enumerate() {
-            scope.wait(handle);
-            // An empty slot means the record job panicked: stop finishing
-            // and let the scope's join propagate the worker's original
-            // payload instead of masking it with a scheduler-internal one.
-            let Some(segment) = lock_recover(&slots[i]).take() else {
-                break;
-            };
-            {
-                let _span = adept_telemetry::span("mesh_build/splice");
-                finish(i, segment);
-            }
-            SEGMENTS_SPLICED.incr();
-        }
-    });
 }
 
 #[cfg(test)]
@@ -272,14 +110,10 @@ mod tests {
     use crate::param::ParamStore;
     use adept_autodiff::Graph;
     use adept_photonics::BlockMeshTopology;
-    use adept_tensor::{set_gemm_threads, Tensor};
-
-    /// Serializes tests that override the global thread count.
-    static THREAD_OVERRIDE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    use adept_tensor::Tensor;
 
     #[test]
     fn prebuild_matches_direct_build_bitwise() {
-        let _guard = lock_recover(&THREAD_OVERRIDE);
         let mut store = ParamStore::new();
         let topo = BlockMeshTopology::butterfly(4);
         // Ragged 6×10 weight exercises cropped edge tiles.
@@ -296,28 +130,26 @@ mod tests {
                 )
             })
             .collect();
-        let weights: Vec<&PtcWeight> = layers.iter().map(|l| &l.weight).collect();
-
-        let run = |threads: usize, prebuild: bool| -> (usize, Vec<Tensor>) {
-            set_gemm_threads(threads);
+        let run = |prebuild: bool| -> (usize, Vec<Tensor>) {
             let graph = Graph::new();
             let ctx = ForwardCtx::new(&graph, &store, true, 3);
             if prebuild {
-                crate::build::prebuild_ptc_weights(&ctx, &weights);
+                let weights: Vec<&dyn MeshWeight<'_>> =
+                    layers.iter().map(|l| &l.weight as _).collect();
+                prebuild_mesh_weights(&ctx, &weights);
             }
-            let vals: Vec<Tensor> = weights.iter().map(|w| w.build(&ctx).value()).collect();
-            set_gemm_threads(0);
+            let vals: Vec<Tensor> = layers
+                .iter()
+                .map(|l| l.weight.build(&ctx).value())
+                .collect();
             (graph.len(), vals)
         };
 
-        let (len_serial, serial) = run(1, false);
-        let (len_pre1, pre1) = run(1, true);
-        let (len_pre8, pre8) = run(8, true);
-        assert_eq!(len_serial, len_pre1, "prebuild must not change the tape");
-        assert_eq!(len_pre1, len_pre8, "thread count must not change the tape");
-        for ((a, b), c) in serial.iter().zip(&pre1).zip(&pre8) {
-            assert_eq!(a.as_slice(), b.as_slice(), "serial vs prebuilt(1)");
-            assert_eq!(a.as_slice(), c.as_slice(), "serial vs prebuilt(8)");
+        let (len_direct, direct) = run(false);
+        let (len_pre, pre) = run(true);
+        assert_eq!(len_direct, len_pre, "prebuild must not change the tape");
+        for (a, b) in direct.iter().zip(&pre) {
+            assert_eq!(a.as_slice(), b.as_slice(), "direct vs prebuilt");
         }
     }
 
@@ -328,7 +160,7 @@ mod tests {
         let layer = OnnLinear::new(&mut store, "fc", 4, 4, topo.clone(), topo, 7);
         let graph = Graph::new();
         let ctx = ForwardCtx::new(&graph, &store, true, 0);
-        crate::build::prebuild_ptc_weights(&ctx, &[&layer.weight]);
+        prebuild_mesh_weights(&ctx, &[&layer.weight]);
         let first = layer.weight.build(&ctx);
         let len_after_first = graph.len();
         let second = layer.weight.build(&ctx);

@@ -368,7 +368,7 @@ mod tests {
         crate::mesh::prebuild_mesh_weights(&ctx, &m.mesh_weights());
         let x = graph.constant(Tensor::ones(&[2, 1, 8, 8]));
         let loss = m.forward(&ctx, x).cross_entropy_logits(&[0, 1]);
-        let grads = graph.backward_parallel(loss);
+        let grads = graph.backward(loss);
         let updates = ctx.into_param_grads(&grads);
         store.accumulate_many(&updates);
         let total: f64 = m.param_ids().iter().map(|&id| store.grad(id).norm()).sum();

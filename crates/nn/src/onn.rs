@@ -24,11 +24,11 @@
 
 use crate::layers::{cols_to_nchw, im2col_var_scratch, Layer};
 use crate::lower::{LowerError, LoweredStep};
-use crate::mesh::{build_mesh_weight, MeshWeight, StagedBuild};
+use crate::mesh::{build_mesh_weight, MeshWeight};
 use crate::param::{next_weight_uid, ForwardCtx, ParamId, ParamStore};
 use adept_autodiff::{
     batched_permute_rows, batched_phase_rotate, batched_tile_product, batched_tile_product_grid,
-    record_segment, record_segment_pair, stack, Graph, TapeSegment, Var,
+    stack, Var,
 };
 use adept_linalg::{svd, CMatrix, C64};
 use adept_photonics::clements::decompose;
@@ -113,25 +113,14 @@ pub fn batched_tile_unitary<'g>(
     topo: &BlockMeshTopology,
     phases: Var<'g>,
 ) -> (Var<'g>, Var<'g>) {
-    batched_tile_unitary_on(ctx.graph, topo, phases)
-}
-
-/// [`batched_tile_unitary`] against a bare [`Graph`] — the form the
-/// parallel build scheduler records onto private sub-tapes, where no
-/// [`ForwardCtx`] exists (parameters arrive as segment imports).
-pub fn batched_tile_unitary_on<'g>(
-    graph: &'g Graph,
-    topo: &BlockMeshTopology,
-    phases: Var<'g>,
-) -> (Var<'g>, Var<'g>) {
     let k = topo.k();
     let b = topo.blocks().len();
     let shape = phases.shape();
     assert_eq!(shape.len(), 3, "phases must be [T, B, K]");
     assert_eq!(&shape[1..], &[b, k], "phases must be [T, B, K]");
     let t = shape[0];
-    let mut m_re = graph.constant(Tensor::eye_batched(t, k));
-    let mut m_im = graph.constant(Tensor::zeros(&[t, k, k]));
+    let mut m_re = ctx.constant(Tensor::eye_batched(t, k));
+    let mut m_im = ctx.constant(Tensor::zeros(&[t, k, k]));
     // Rightmost block acts first: iterate blocks in reverse.
     for (bi, block) in topo.blocks().iter().enumerate().rev() {
         // R(Φ_b): one [T, K] phase column scales the rows of every tile.
@@ -142,8 +131,8 @@ pub fn batched_tile_unitary_on<'g>(
         // T_b: the constant coupler column, shared across the batch.
         if block.dc_count() > 0 {
             let tmat = block.coupler_column_matrix(k);
-            let t_re = graph.constant(tmat.re());
-            let t_im = graph.constant(tmat.im());
+            let t_re = ctx.constant(tmat.re());
+            let t_im = ctx.constant(tmat.im());
             let new_re = t_re
                 .matmul_bcast_left(m_re)
                 .sub(t_im.matmul_bcast_left(m_im));
@@ -162,6 +151,9 @@ pub fn batched_tile_unitary_on<'g>(
     }
     (m_re, m_im)
 }
+
+/// The `(U, V)` mesh topologies of one PTC.
+type TopologyPair = (BlockMeshTopology, BlockMeshTopology);
 
 /// A weight matrix realized by a photonic tensor core with a fixed
 /// topology: `K×K` tiles of `Re(U·Σ·V)` with shared topology and per-tile
@@ -262,7 +254,7 @@ impl PtcWeight {
     }
 
     /// Process-unique id of this weight (key of the per-step prebuilt
-    /// cache; see [`crate::build::prebuild_ptc_weights`]).
+    /// cache; see [`crate::mesh::prebuild_mesh_weights`]).
     pub fn uid(&self) -> u64 {
         self.uid
     }
@@ -305,24 +297,23 @@ impl PtcWeight {
         (nu, nv)
     }
 
-    /// Computes the stage-time fault payload for an active
-    /// [`FaultScenario`]: per-phase delta constants such that
-    /// `programmed + delta` is the faulted realized phase (recomputed
-    /// against the *current* parameter values each build, so a dead
-    /// shifter stays pinned at 0 while gradients keep flowing
-    /// straight-through to the programmed phase), plus the degraded mesh
-    /// topologies under coupler faults.
+    /// Computes the fault payload for an active [`FaultScenario`]:
+    /// per-phase delta tensors `(ΔU, ΔV)` such that `programmed + delta` is
+    /// the faulted realized phase (recomputed against the *current*
+    /// parameter values each build, so a dead shifter stays pinned at 0
+    /// while gradients keep flowing straight-through to the programmed
+    /// phase), plus the degraded mesh topologies under coupler faults.
     ///
     /// Fault sites are keyed by the tile-0 parameter names (`"{name}.u0"`
     /// / `"{name}.v0"`): a PTC time-multiplexes one physical mesh across
     /// all tiles, so every tile shares the same damage.
-    fn stage_faults(
+    fn fault_payload(
         &self,
         ctx: &ForwardCtx<'_, '_>,
         scenario: &FaultScenario,
-        noise: &[Tensor],
+        noise: Option<&(Tensor, Tensor)>,
         n_tiles: usize,
-    ) -> (Vec<Tensor>, Option<(BlockMeshTopology, BlockMeshTopology)>) {
+    ) -> (Tensor, Tensor, Option<TopologyPair>) {
         let k = self.k;
         let key_u = ctx.store.name(self.phases_u[0]);
         let key_v = ctx.store.name(self.phases_v[0]);
@@ -345,10 +336,7 @@ impl PtcWeight {
                     }
                 }
             };
-        let (nu, nv) = match noise {
-            [nu, nv] => (Some(nu), Some(nv)),
-            _ => (None, None),
-        };
+        let (nu, nv) = (noise.map(|n| &n.0), noise.map(|n| &n.1));
         fill(du.as_mut_slice(), &self.phases_u, bu, key_u, nu);
         fill(dv.as_mut_slice(), &self.phases_v, bv, key_v, nv);
         let topos = if scenario.has_coupler_faults() {
@@ -359,7 +347,7 @@ impl PtcWeight {
         } else {
             None
         };
-        (vec![du, dv], topos)
+        (du, dv, topos)
     }
 
     /// Materializes the `[out_features, in_features]` weight on the tape.
@@ -372,13 +360,9 @@ impl PtcWeight {
     /// of the tile count — and the values are bit-identical to the per-tile
     /// reference path ([`PtcWeight::build_per_tile`]).
     ///
-    /// Internally the build runs the [`MeshWeight`] three-phase walk
-    /// through [`build_mesh_weight`]; the splice invariant of
-    /// [`adept_autodiff::record_segment`] guarantees it records the exact
-    /// node sequence of the historical monolithic builder. When the
-    /// parallel scheduler ([`crate::mesh::prebuild_mesh_weights`]) already
-    /// materialized this weight for the step, that variable is returned
-    /// instead.
+    /// When [`crate::mesh::prebuild_mesh_weights`] already recorded this
+    /// weight for the step, that variable is returned instead (see
+    /// [`build_mesh_weight`]).
     pub fn build<'g>(&self, ctx: &ForwardCtx<'g, '_>) -> Var<'g> {
         build_mesh_weight(ctx, self)
     }
@@ -397,96 +381,38 @@ impl<'g> MeshWeight<'g> for PtcWeight {
         self.phase_noise_std > 0.0
     }
 
-    /// Build phase 1 (main thread): creates the phase-parameter leaves on
-    /// the shared tape and draws this weight's phase noise from the shared
-    /// RNG stream — both in the exact order of the serial walk, so staging
-    /// all weights in layer order pins leaf ids and noise draws regardless
-    /// of how phase 2 is scheduled.
-    fn stage(&self, ctx: &ForwardCtx<'g, '_>) -> StagedBuild {
-        let n_tiles = self.grid_rows * self.grid_cols;
-        let mut imports = Vec::with_capacity(2 * n_tiles);
-        for &id in &self.phases_u {
-            imports.push(ctx.param(id).export_import());
-        }
-        for &id in &self.phases_v {
-            imports.push(ctx.param(id).export_import());
-        }
-        let noise = if self.phase_noise_std > 0.0 {
-            let (nu, nv) = self.sample_phase_noise(ctx, n_tiles);
-            vec![nu, nv]
-        } else {
-            Vec::new()
-        };
-        let (fault_deltas, fault_topos) = match ctx.fault_scenario() {
-            Some(scenario) => self.stage_faults(ctx, scenario, &noise, n_tiles),
-            None => (Vec::new(), None),
-        };
-        StagedBuild {
-            imports,
-            noise,
-            fault_deltas,
-            fault_topos,
-        }
-    }
-
-    /// Build phase 2 (any thread): records `[stack, stack, noise, fault
-    /// delta, U-walk, V-walk]` on a private sub-tape (the noise and fault
-    /// adds only when active, and the walks against the fault-degraded
-    /// topologies when couplers died). With `parallel_uv` set the two mesh
-    /// walks — independent until the tile product — record as two sub-tape
-    /// builds running concurrently on the shared pool, spliced back in
-    /// U-then-V order so the node sequence is identical to the serial walk.
-    fn record_build_segment(&self, staged: &StagedBuild, parallel_uv: bool) -> TapeSegment {
-        let n_tiles = self.grid_rows * self.grid_cols;
-        record_segment(&staged.imports, |g, proxies| {
-            let (pu, pv) = proxies.split_at(n_tiles);
-            let mut su = stack(pu); // [T, Bu, K]
-            let mut sv = stack(pv); // [T, Bv, K]
-            if let [nu, nv] = staged.noise.as_slice() {
-                su = su.add(g.constant(nu.clone()));
-                sv = sv.add(g.constant(nv.clone()));
-            }
-            if let [fu, fv] = staged.fault_deltas.as_slice() {
-                su = su.add(g.constant(fu.clone()));
-                sv = sv.add(g.constant(fv.clone()));
-            }
-            let (topo_u, topo_v) = match &staged.fault_topos {
-                Some((tu, tv)) => (tu, tv),
-                None => (&self.topo_u, &self.topo_v),
-            };
-            let (u_re, u_im, v_re, v_im) = if parallel_uv {
-                let (seg_u, seg_v) = record_segment_pair(
-                    &[su.export_import()],
-                    |g2, v| {
-                        let (re, im) = batched_tile_unitary_on(g2, topo_u, v[0]);
-                        vec![re, im]
-                    },
-                    &[sv.export_import()],
-                    |g2, v| {
-                        let (re, im) = batched_tile_unitary_on(g2, topo_v, v[0]);
-                        vec![re, im]
-                    },
-                );
-                let u = g.splice(seg_u);
-                let v = g.splice(seg_v);
-                (u[0], u[1], v[0], v[1])
-            } else {
-                let (u_re, u_im) = batched_tile_unitary_on(g, topo_u, su);
-                let (v_re, v_im) = batched_tile_unitary_on(g, topo_v, sv);
-                (u_re, u_im, v_re, v_im)
-            };
-            vec![u_re, u_im, v_re, v_im]
-        })
-    }
-
-    /// Build phase 3 (main thread): splices the mesh-walk segment into the
-    /// step tape, creates the Σ leaves and records the fused `Re(UΣ·V)`
-    /// grid product — the serial walk's exact tail.
-    fn finish_build(&self, ctx: &ForwardCtx<'g, '_>, segment: TapeSegment) -> Var<'g> {
+    /// Records `[stack, stack, noise, fault delta, U-walk, V-walk]` — the
+    /// noise and fault adds only when active, and the walks against the
+    /// fault-degraded topologies when couplers died — then the Σ leaves
+    /// and the fused `Re(UΣ·V)` grid product. Phase noise comes from the
+    /// shared RNG, so building weights in layer order fixes the stream.
+    fn record(&self, ctx: &ForwardCtx<'g, '_>) -> Var<'g> {
         let k = self.k;
         let n_tiles = self.grid_rows * self.grid_cols;
-        let spliced = ctx.graph.splice(segment);
-        let (u_re, u_im, v_re, v_im) = (spliced[0], spliced[1], spliced[2], spliced[3]);
+        let pu: Vec<Var<'g>> = self.phases_u.iter().map(|&id| ctx.param(id)).collect();
+        let pv: Vec<Var<'g>> = self.phases_v.iter().map(|&id| ctx.param(id)).collect();
+        let noise = (self.phase_noise_std > 0.0).then(|| self.sample_phase_noise(ctx, n_tiles));
+        let faults = ctx
+            .fault_scenario()
+            .map(|scenario| self.fault_payload(ctx, scenario, noise.as_ref(), n_tiles));
+        let mut su = stack(&pu); // [T, Bu, K]
+        let mut sv = stack(&pv); // [T, Bv, K]
+        if let Some((nu, nv)) = noise {
+            su = su.add(ctx.constant(nu));
+            sv = sv.add(ctx.constant(nv));
+        }
+        let mut degraded = None;
+        if let Some((du, dv, topos)) = faults {
+            su = su.add(ctx.constant(du));
+            sv = sv.add(ctx.constant(dv));
+            degraded = topos;
+        }
+        let (topo_u, topo_v) = match &degraded {
+            Some((tu, tv)) => (tu, tv),
+            None => (&self.topo_u, &self.topo_v),
+        };
+        let (u_re, u_im) = batched_tile_unitary(ctx, topo_u, su);
+        let (v_re, v_im) = batched_tile_unitary(ctx, topo_v, sv);
         // Σ broadcasts over U's columns: [T, 1, K] against [T, K, K].
         let sigs: Vec<Var<'g>> = self.sigma.iter().map(|&id| ctx.param(id)).collect();
         let sig = stack(&sigs).reshape(&[n_tiles, 1, k]);
@@ -631,7 +557,7 @@ impl Layer for OnnLinear {
         out: &mut Vec<LoweredStep>,
     ) -> Result<(), LowerError> {
         // Materialize Re(U·diag(σ)·V) through the tape builder itself —
-        // consuming the prebuilt variable (and its staged noise draws), so
+        // consuming the prebuilt variable (and its noise draws), so
         // the frozen matrix is bit-identical to the forward pass's.
         let w = self.weight.build(ctx).value();
         out.push(LoweredStep::Linear {

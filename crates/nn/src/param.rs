@@ -168,9 +168,9 @@ pub struct ForwardCtx<'g, 's> {
     pub training: bool,
     leaves: RefCell<HashMap<ParamId, Var<'g>>>,
     rng: RefCell<StdRng>,
-    /// Weights materialized ahead of the forward pass by the parallel
-    /// build scheduler, keyed by weight uid and tagged with the inputs
-    /// they were built against. Consumed on first use.
+    /// Weights materialized ahead of the forward pass by
+    /// `prebuild_mesh_weights`, keyed by weight uid and tagged with the
+    /// inputs they were built against. Consumed on first use.
     prebuilt: RefCell<HashMap<u64, (u64, Var<'g>)>>,
     /// Static hardware damage the step's mesh builds must realize
     /// (`None` = healthy hardware, the default).
@@ -223,7 +223,7 @@ impl<'g, 's> ForwardCtx<'g, 's> {
         self.prebuilt.borrow_mut().insert(uid, (tag, weight));
     }
 
-    /// Removes and returns the prebuilt weight for `uid`, if the scheduler
+    /// Removes and returns the prebuilt weight for `uid`, if the prebuild
     /// materialized one this step. Consuming semantics keep repeated
     /// `build` calls (reference/equivalence tests build twice per step)
     /// recording fresh tape nodes after the first use.
@@ -232,7 +232,7 @@ impl<'g, 's> ForwardCtx<'g, 's> {
     ///
     /// Panics if a prebuilt weight exists but was registered under a
     /// different `tag` — the caller is asking for the weight against
-    /// different inputs (e.g. rebuilt SuperMesh frames) than the scheduler
+    /// different inputs (e.g. rebuilt SuperMesh frames) than the prebuild
     /// used, and silently returning the cached node would wire values and
     /// gradients to the wrong variables.
     pub fn take_prebuilt(&self, uid: u64, tag: u64) -> Option<Var<'g>> {

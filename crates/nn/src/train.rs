@@ -1,20 +1,16 @@
 //! Training and evaluation loops, including the paper's variation-aware
 //! training (Gaussian phase noise injected during training, §4.1).
 //!
-//! Each step prebuilds every photonic layer's weight through the parallel
-//! build engine ([`crate::mesh::prebuild_mesh_weights`]) before running the
-//! forward chain, and replays the backward pass through
-//! `Graph::backward_parallel`, which evaluates the spliced per-weight
-//! gradient subtrees concurrently with main-thread accumulation in splice
-//! order. The resulting tape — node ids, values, noise draws and
-//! gradients — is **bit-identical at any thread count** (pinned by the
-//! root `parallel_build`/`parallel_backward` suites): all noise is drawn
-//! on the main thread in layer order during staging. For all-PTC models it is also bit-identical
-//! to the historical walk that interleaved each build with its forward
-//! ops. One caveat: a model mixing *noisy* [`crate::onn::MziLinear`]-style
-//! layers (which draw from the shared RNG mid-forward) with noisy PTC
-//! layers consumes the stream in prebuild order — deterministic, but a
-//! different fixed sequence than the historical interleaving.
+//! Each step prebuilds every photonic layer's weight in layer order
+//! ([`crate::mesh::prebuild_mesh_weights`]) before running the forward
+//! chain, then runs one serial `Graph::backward`. All phase noise is drawn
+//! in that layer order, so for all-PTC models values, noise draws and
+//! gradients are bit-identical to the walk that builds each weight inside
+//! its layer's forward. One caveat: a model mixing *noisy*
+//! [`crate::onn::MziLinear`]-style layers (which draw from the shared RNG
+//! mid-forward) with noisy PTC layers consumes the stream in prebuild
+//! order — deterministic, but a different fixed sequence than the
+//! interleaved walk.
 
 use crate::layers::Layer;
 use crate::mesh::{prebuild_mesh_weights, MeshWeight};
@@ -147,12 +143,9 @@ pub fn train_classifier(
                 loss
             };
             batches += 1;
-            // The spliced weight-build segments replay their gradient
-            // subtrees concurrently; bit-identical to `backward` at any
-            // thread count (see `Graph::backward_parallel`).
             let updates = {
                 let _span = step_span.child("backward");
-                let grads = graph.backward_parallel(loss);
+                let grads = graph.backward(loss);
                 ctx.into_param_grads(&grads)
             };
             {
@@ -197,7 +190,7 @@ pub fn evaluate(
 /// depends only on its own parameters (`build_tag() == 0`) and draws no
 /// noise is identical in every batch. The first batch materializes all
 /// weights through the normal prebuild; later batches replay the captured
-/// noise-free values as constants and only re-stage the noisy rest —
+/// noise-free values as constants and only rebuild the noisy rest —
 /// per-batch outputs (and the noise stream consumed by noisy weights) stay
 /// bit-identical to rebuilding everything.
 pub fn evaluate_seeded(
@@ -277,10 +270,10 @@ fn evaluate_impl(
                 frozen = Some(cache);
             }
             Some(cache) => {
-                // Stage only the weights that genuinely change per batch;
+                // Rebuild only the weights that genuinely change per batch;
                 // the noise-free rest replays as constants. Noisy weights
-                // stage in the same relative order as a full prebuild
-                // (noise-free stagings draw nothing), so the RNG stream is
+                // build in the same relative order as a full prebuild
+                // (noise-free builds draw nothing), so the RNG stream is
                 // unchanged.
                 let rebuild: Vec<&dyn MeshWeight<'_>> =
                     mesh.iter().filter(|w| !cacheable(**w)).copied().collect();

@@ -71,7 +71,7 @@ pub use conv::{col2im, im2col, im2col_into, im2col_slice_into, Conv2dGeometry};
 pub use element::Element;
 pub use matmul::{
     batched_matmul_into, batched_matmul_ragged_into, gemm_thread_count, matmul_into, matmul_view,
-    set_gemm_threads, set_wide_gemm_cols, GemmSpec, Tile,
+    set_gemm_threads, GemmSpec, Tile,
 };
 #[doc(hidden)]
 pub use matmul::{gemm_micro_into, gemm_scalar_ref_into, matmul_into_one_axis_partition};

@@ -37,9 +37,9 @@ pub fn set_gemm_threads(n: usize) {
     GEMM_THREADS.store(n, Ordering::Relaxed);
 }
 
-/// The effective GEMM/build thread count (override, `ONN_THREADS`, or
-/// auto). Exposed so the weight-build scheduler in higher crates parallels
-/// the same knob the GEMM partitioners use.
+/// The effective GEMM thread count (override, `ONN_THREADS`, or auto).
+/// Exposed so the serving runtime sizes its worker pool from the same
+/// knob the GEMM partitioners use.
 pub fn gemm_thread_count() -> usize {
     gemm_threads()
 }
@@ -579,49 +579,15 @@ pub fn matmul_into<T: Element>(a: &[T], b: &[T], c: &mut [T], m: usize, k: usize
     );
 }
 
-/// Default output-column width of one job in the wide-GEMM ragged sweep.
+/// Output-column width of one job in the wide-GEMM ragged sweep.
 /// Bounded so each job's `k × cols` B-slab stays cache-resident and the
 /// flop-balanced chunker has enough granularity to fill every thread.
 ///
-/// 512 is the winner of the `conv_forward/wide_cols_{128..2048}` sweep in
-/// `BENCH_kernels.json` on the representative im2col'd conv shape
-/// `[16, 144] · [144, 4096]` (majority of repeated runs on the build
-/// container; 1024 occasionally ties): a `144×512` f64 B-slab (~0.56 MiB)
-/// comfortably fits L2 while leaving the flop-balanced chunker enough
-/// granularity to fill every thread. Chunk width never changes results
-/// (bit-identical across widths, pinned by
-/// `wide_sweep_is_bit_identical_across_chunk_sizes`); override per run
-/// with `ONN_WIDE_COLS` / [`set_wide_gemm_cols`].
-const WIDE_COL_CHUNK_DEFAULT: usize = 512;
-
-/// Runtime override of the wide-sweep column width (0 = env/default), set
-/// by [`set_wide_gemm_cols`]. Chunking only changes how the disjoint
-/// output blocks are partitioned — never an element's k-order — so every
-/// chunk width produces bit-identical results (pinned by the
-/// `wide_sweep_is_bit_identical_across_chunk_sizes` test).
-static WIDE_COLS: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the column-block width of the wide-GEMM ragged sweep.
-///
-/// `0` (the default) means "auto": honour the `ONN_WIDE_COLS` environment
-/// variable (validated like `ONN_THREADS`: `0`/empty/unset = auto, junk
-/// panics), else the swept default (512). Exposed so
-/// cache-level tuning sweeps and the bit-determinism tests can vary the
-/// chunk without re-exec'ing.
-pub fn set_wide_gemm_cols(n: usize) {
-    WIDE_COLS.store(n, Ordering::Relaxed);
-}
-
-/// The effective wide-sweep column width (override, `ONN_WIDE_COLS`, or
-/// the swept default).
-fn wide_col_chunk() -> usize {
-    let n = WIDE_COLS.load(Ordering::Relaxed);
-    if n != 0 {
-        return n;
-    }
-    static AUTO: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *AUTO.get_or_init(|| crate::pool::env_wide_cols().unwrap_or(WIDE_COL_CHUNK_DEFAULT))
-}
+/// 512 won a `[16, 144] · [144, 4096]` im2col'd conv sweep over widths
+/// 128…2048 (1024 occasionally tied): a `144×512` f64 B-slab (~0.56 MiB)
+/// comfortably fits L2. Chunk width only repartitions disjoint output
+/// blocks, never an element's k-order, so it never changes results.
+const WIDE_COL_CHUNK: usize = 512;
 
 /// Whether a GEMM should run as a ragged [`GemmSpec`] sweep instead of a
 /// one-axis partition: the output is much wider than tall — the shape of an
@@ -629,7 +595,7 @@ fn wide_col_chunk() -> usize {
 /// row partition would stream the whole `k×n` right operand per thread and
 /// a column partition has only `threads` coarse cells to balance.
 fn is_wide(m: usize, n: usize) -> bool {
-    m >= 2 && n >= 2 * wide_col_chunk() && n >= 8 * m
+    m >= 2 && n >= 2 * WIDE_COL_CHUNK && n >= 8 * m
 }
 
 /// One strided GEMM over [`Tile`] operands, serial below the work threshold
@@ -770,8 +736,7 @@ fn partition_one_axis<T: Element>(
 
 /// The column-block job list of the wide-GEMM ragged sweep: every job
 /// covers all `m` rows of one column block. Blocks are at most
-/// [`wide_col_chunk`] wide (cache-bounded B-slabs, tunable via
-/// `ONN_WIDE_COLS`/[`set_wide_gemm_cols`]) and shrink further when needed
+/// [`WIDE_COL_CHUNK`] wide (cache-bounded B-slabs) and shrink further when needed
 /// so at least `threads` jobs exist — a moderately wide output must not
 /// occupy fewer threads than the row partition it replaced.
 fn wide_gemm_specs(
@@ -783,7 +748,7 @@ fn wide_gemm_specs(
     n: usize,
     threads: usize,
 ) -> Vec<GemmSpec> {
-    let chunk = wide_col_chunk().min(n.div_ceil(threads.max(1))).max(64);
+    let chunk = WIDE_COL_CHUNK.min(n.div_ceil(threads.max(1))).max(64);
     let col_blocks = n.div_ceil(chunk);
     let mut specs = Vec::with_capacity(col_blocks);
     let mut col0 = 0;
@@ -1408,45 +1373,6 @@ mod tests {
         set_gemm_threads(0);
         assert_eq!(ragged.as_slice(), one_axis.as_slice());
         assert_eq!(ragged.as_slice(), serial.as_slice());
-    }
-
-    #[test]
-    fn wide_sweep_is_bit_identical_across_chunk_sizes() {
-        // The ONN_WIDE_COLS knob only repartitions disjoint output blocks;
-        // every element keeps its serial k-order, so any chunk width must
-        // produce the exact same bits.
-        let (m, k, n) = (16usize, 96usize, 4096usize);
-        let a = Tensor::from_vec(
-            (0..m * k)
-                .map(|i| ((i * 37 % 101) as f64 - 50.0) / 25.0)
-                .collect(),
-            &[m, k],
-        );
-        let b = Tensor::from_vec(
-            (0..k * n)
-                .map(|i| ((i * 53 % 97) as f64 - 48.0) / 24.0)
-                .collect(),
-            &[k, n],
-        );
-        let _guard = thread_override_lock();
-        set_gemm_threads(1);
-        let serial = a.matmul(&b);
-        set_gemm_threads(4);
-        for chunk in [64usize, 200, 512, 2048] {
-            set_wide_gemm_cols(chunk);
-            assert!(
-                super::is_wide(m, n),
-                "shape must stay on the wide path at chunk {chunk}"
-            );
-            let got = a.matmul(&b);
-            assert_eq!(
-                got.as_slice(),
-                serial.as_slice(),
-                "chunk {chunk} must be bit-identical to serial"
-            );
-        }
-        set_wide_gemm_cols(0);
-        set_gemm_threads(0);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! A shared scoped thread pool for GEMM partitions and weight-build jobs.
+//! A shared scoped thread pool for GEMM partitions, serve workers and
+//! sweep cells.
 //!
 //! The original kernels spawned fresh OS threads through
 //! [`std::thread::scope`] on *every* parallel GEMM — tens of thousands of
@@ -17,9 +18,9 @@
 //!
 //! # Help-while-wait (deadlock freedom under nesting)
 //!
-//! Jobs may themselves open scopes (a weight-build job fans out its U- and
-//! V-mesh sub-tape builds; each of those runs pooled GEMM sweeps). A naive
-//! pool would deadlock once every worker blocks in a nested join. Here a
+//! Jobs may themselves open scopes (a serve worker or a robustness-sweep
+//! cell runs pooled GEMM sweeps inside its job). A naive pool would
+//! deadlock once every worker blocks in a nested join. Here a
 //! thread waiting on its scope *helps*: it pops queued tasks (newest first,
 //! so nested sub-jobs run before unrelated top-level work) and executes
 //! them inline until its own jobs finish. Any blocked thread therefore
@@ -34,7 +35,7 @@
 //! same k-order regardless of how tasks land on threads (see
 //! the GEMM partitioners in `matmul`). Which thread runs a task is the *only*
 //! nondeterminism, and it is unobservable in the outputs — the property the
-//! root `parallel_build` suite pins bit-for-bit.
+//! CI determinism job pins bit-for-bit across `ONN_THREADS`.
 //!
 //! # Thread-count configuration
 //!
@@ -54,9 +55,8 @@
 //! With `ONN_TELEMETRY` on, the pool reports volatile counters (jobs
 //! spawned, worker vs. helper task runs, worker busy/idle nanoseconds)
 //! and a queue-depth histogram. All of them are scheduling-dependent by
-//! nature — `schedule_segments` spawns nothing at one thread — so they
-//! render only in the snapshot's timing section, never in the
-//! deterministic diff.
+//! nature — a GEMM spawns nothing at one thread — so they render only in
+//! the snapshot's timing section, never in the deterministic diff.
 
 use adept_telemetry::sync::{lock_recover, wait_recover, wait_timeout_recover};
 use adept_telemetry::{Counter, Histogram};
@@ -141,7 +141,7 @@ fn run_task(task: Task, state: &JobState) {
 /// tests exercise real cross-thread execution everywhere. `ONN_THREADS`
 /// bounds the pool itself, not just chunk counts, so `ONN_THREADS=2` on a
 /// shared box keeps roughly two threads busy no matter how many jobs a
-/// scheduler fans out. (Runtime `set_gemm_threads` overrides affect only
+/// caller fans out. (Runtime `set_gemm_threads` overrides affect only
 /// partition granularity — the pool is sized once at first use.)
 fn worker_count() -> usize {
     auto_threads().saturating_sub(1).max(1)
@@ -219,18 +219,6 @@ pub(crate) fn env_threads() -> Option<usize> {
         std::env::var("ONN_THREADS")
             .ok()
             .and_then(|v| parse_env_count("ONN_THREADS", &v))
-    })
-}
-
-/// Reads `ONN_WIDE_COLS` once — the column-block width override of the
-/// wide-GEMM ragged sweep (see `crate::matmul`) — through the same
-/// validated parse as `ONN_THREADS`.
-pub(crate) fn env_wide_cols() -> Option<usize> {
-    static CACHE: OnceLock<Option<usize>> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("ONN_WIDE_COLS")
-            .ok()
-            .and_then(|v| parse_env_count("ONN_WIDE_COLS", &v))
     })
 }
 
@@ -324,13 +312,6 @@ fn help_until_finished(job: &JobState) {
     }
 }
 
-/// Completion handle of one tracked job (see [`Scope::spawn_handle`]).
-///
-/// Lets the spawning thread wait for — and act on the output of — a
-/// *specific* job before the scope ends, which is how the weight-build
-/// scheduler overlaps main-thread splicing with still-recording segments.
-pub struct JobHandle(Arc<JobState>);
-
 /// A handle for spawning borrowed jobs onto the shared pool.
 ///
 /// All jobs spawned on a scope are joined when the scope ends (including on
@@ -348,16 +329,6 @@ impl<'env> Scope<'env> {
     where
         F: FnOnce() + Send + 'env,
     {
-        let _ = self.spawn_handle(f);
-    }
-
-    /// Queues `f` on the shared pool and returns its completion handle,
-    /// so the caller can [`Scope::wait`] on this job alone while later
-    /// jobs keep running.
-    pub fn spawn_handle<F>(&mut self, f: F) -> JobHandle
-    where
-        F: FnOnce() + Send + 'env,
-    {
         let task: Box<dyn FnOnce() + Send + 'env> = Box::new(f);
         // SAFETY: the scope joins every job before `'env` ends — in
         // `scope()` on the normal path and in `Drop` during unwinding — so
@@ -365,15 +336,7 @@ impl<'env> Scope<'env> {
         let task: Task = unsafe { std::mem::transmute(task) };
         let state = JobState::new();
         self.jobs.push(state.clone());
-        shared().push(task, state.clone());
-        JobHandle(state)
-    }
-
-    /// Blocks until the given job finished, executing queued tasks while
-    /// waiting. A panic inside the job still propagates when the scope
-    /// ends, not here.
-    pub fn wait(&self, handle: &JobHandle) {
-        help_until_finished(&handle.0);
+        shared().push(task, state);
     }
 
     /// Blocks until every spawned job finished, executing queued tasks
@@ -473,34 +436,6 @@ mod tests {
         }));
         assert!(result.is_err(), "panic must propagate");
         assert_eq!(finished.load(Ordering::Relaxed), 4, "siblings still ran");
-    }
-
-    #[test]
-    fn per_job_wait_streams_results_in_spawn_order() {
-        // The streaming consumer of the weight-build scheduler: wait on
-        // job i, read its slot, move to job i+1 — all before the scope
-        // ends, while later jobs may still be running.
-        let slots: Vec<Mutex<Option<usize>>> = (0..6).map(|_| Mutex::new(None)).collect();
-        let mut consumed = Vec::new();
-        scope(|s| {
-            let handles: Vec<JobHandle> = slots
-                .iter()
-                .enumerate()
-                .map(|(i, slot)| {
-                    s.spawn_handle(move || {
-                        *lock_recover(slot) = Some(i * i);
-                    })
-                })
-                .collect();
-            for (i, h) in handles.iter().enumerate() {
-                s.wait(h);
-                let got = lock_recover(&slots[i])
-                    .take()
-                    .expect("job finished before wait returned");
-                consumed.push(got);
-            }
-        });
-        assert_eq!(consumed, vec![0, 1, 4, 9, 16, 25]);
     }
 
     #[test]

@@ -8,22 +8,22 @@
 //! are the whole point). A counting `MeshWeight` pins both sides, and an
 //! accuracy equality check pins that caching never changes a result.
 
-use adept_autodiff::{record_segment, TapeSegment, Var};
+use adept_autodiff::Var;
 use adept_datasets::{DatasetKind, SyntheticConfig};
 use adept_nn::layers::Layer;
-use adept_nn::mesh::{MeshWeight, StagedBuild};
+use adept_nn::mesh::MeshWeight;
 use adept_nn::models::{proxy_cnn, Backend, InputShape};
 use adept_nn::train::evaluate_seeded;
 use adept_nn::{build_mesh_weight, next_weight_uid, ForwardCtx, ParamId, ParamStore};
 use adept_tensor::Tensor;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
-/// A linear weight that goes through the full stage → record → splice
-/// engine and counts how many times its segment is recorded.
+/// A linear weight that goes through the mesh-weight engine and counts how
+/// many times it is recorded.
 struct CountingWeight {
     uid: u64,
     id: ParamId,
-    builds: AtomicUsize,
+    builds: Cell<usize>,
     noisy: bool,
 }
 
@@ -34,7 +34,7 @@ impl CountingWeight {
         Self {
             uid: next_weight_uid(),
             id: store.register("counting.w".to_string(), w, 0.0),
-            builds: AtomicUsize::new(0),
+            builds: Cell::new(0),
             noisy,
         }
     }
@@ -53,20 +53,9 @@ impl<'g> MeshWeight<'g> for CountingWeight {
         self.noisy
     }
 
-    fn stage(&self, ctx: &ForwardCtx<'g, '_>) -> StagedBuild {
-        StagedBuild {
-            imports: vec![ctx.param(self.id).export_import()],
-            ..StagedBuild::default()
-        }
-    }
-
-    fn record_build_segment(&self, staged: &StagedBuild, _parallel_uv: bool) -> TapeSegment {
-        self.builds.fetch_add(1, Ordering::Relaxed);
-        record_segment(&staged.imports, |_g, proxies| vec![proxies[0]])
-    }
-
-    fn finish_build(&self, ctx: &ForwardCtx<'g, '_>, segment: TapeSegment) -> Var<'g> {
-        ctx.graph.splice(segment)[0]
+    fn record(&self, ctx: &ForwardCtx<'g, '_>) -> Var<'g> {
+        self.builds.set(self.builds.get() + 1);
+        ctx.param(self.id)
     }
 }
 
@@ -110,7 +99,7 @@ fn noise_free_weight_builds_once_across_eval_batches() {
     let data = eval_data();
     // 24 samples / batch 8 = 3 batches; the pure weight must record once.
     evaluate_seeded(&mut model, &store, &data, 8, 1);
-    let builds = model.weight.builds.load(Ordering::Relaxed);
+    let builds = model.weight.builds.get();
     assert_eq!(
         builds, 1,
         "noise-free weight rebuilt {builds}× across 3 batches"
@@ -125,7 +114,7 @@ fn noisy_weight_still_rebuilds_every_batch() {
     };
     let data = eval_data();
     evaluate_seeded(&mut model, &store, &data, 8, 1);
-    let builds = model.weight.builds.load(Ordering::Relaxed);
+    let builds = model.weight.builds.get();
     assert_eq!(
         builds, 3,
         "noise-active weight must rebuild per batch, got {builds}"

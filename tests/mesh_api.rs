@@ -2,12 +2,11 @@
 //!
 //! Pins the redesign's contract:
 //!
-//! * the **single** stage→record→splice engine
-//!   (`adept_nn::mesh::prebuild_mesh_weights`) schedules fixed-topology
-//!   `PtcWeight`s and frame-bound SuperMesh weights — even **mixed in one
-//!   batch** — with node counts, values, noise-stream draws and
-//!   per-parameter gradients bit-identical across `ONN_THREADS`-style
-//!   thread counts {1, 8} and to the serial non-prebuilt walk;
+//! * the **single** build engine (`adept_nn::mesh::prebuild_mesh_weights`)
+//!   records fixed-topology `PtcWeight`s and frame-bound SuperMesh weights
+//!   — even **mixed in one batch** — with node counts, values,
+//!   noise-stream draws and per-parameter gradients bit-identical to the
+//!   non-prebuilt walk, at GEMM thread counts {1, 8};
 //! * the unified batched builder on `butterfly_topology(k)` matches the
 //!   non-differentiable `BlockMeshTopology::unitary()` reference on the
 //!   same phases to 1e-12, per tile;
@@ -115,8 +114,8 @@ fn unified_builder_matches_complex_reference_product() {
 /// One step over a **mixed** batch — two fixed-topology `PtcWeight`s (one
 /// noisy, one ragged) plus a frame-bound SuperMesh weight — through the
 /// single engine. Node count, values, noise draws and per-parameter
-/// gradients must be bit-identical across thread counts {1, 8} and to the
-/// serial non-prebuilt walk.
+/// gradients must be bit-identical to the non-prebuilt walk, at GEMM
+/// thread counts {1, 8}.
 #[test]
 fn mixed_batch_is_bit_identical_across_thread_counts() {
     let _guard = lock();
@@ -125,7 +124,7 @@ fn mixed_batch_is_bit_identical_across_thread_counts() {
     let mut rng = StdRng::seed_from_u64(23);
     let random_topo = BlockMeshTopology::random(&mut rng, 4, 3);
     let mut w1 = PtcWeight::new(&mut store, "w1", 8, 8, butterfly.clone(), butterfly, 31);
-    w1.phase_noise_std = 0.05; // noise draws pinned through staging
+    w1.phase_noise_std = 0.05; // noise draws pinned by layer order
     let w2 = PtcWeight::new(&mut store, "w2", 6, 5, random_topo.clone(), random_topo, 32);
     let handles = SuperMeshHandles::register(&mut store, 4, 2, 1, 33);
     let ws = SuperPtcWeight::new(&mut store, "ws", 7, 6, 4, 2, 34);
@@ -158,7 +157,7 @@ fn mixed_batch_is_bit_identical_across_thread_counts() {
             .chain(b3.value().as_slice())
             .copied()
             .collect();
-        let grads = graph.backward_parallel(loss);
+        let grads = graph.backward(loss);
         let mut per_param: Grads = ctx
             .into_param_grads(&grads)
             .into_iter()
@@ -186,7 +185,7 @@ fn mixed_batch_is_bit_identical_across_thread_counts() {
     }
 }
 
-/// Rebinding a SuperMesh weight to different frames than the scheduler
+/// Rebinding a SuperMesh weight to different frames than the prebuild
 /// used must panic (the cache tag fingerprints the bound frames).
 #[test]
 #[should_panic(expected = "different step inputs")]

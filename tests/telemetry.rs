@@ -104,7 +104,7 @@ fn volatile_instruments_stay_out_of_the_deterministic_render() {
     let det = snap.render_deterministic();
     // Pool scheduling and batch coalescing are timing-dependent; the
     // thread-diffed render must never mention them.
-    for banned in ["pool.", "serve.batches", "backward/span_replay"] {
+    for banned in ["pool.", "serve.batches"] {
         assert!(
             !det.contains(banned),
             "volatile instrument {banned:?} leaked into the deterministic render:\n{det}"
