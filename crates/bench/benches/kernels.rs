@@ -2,6 +2,7 @@
 //! permutation algebra and the Clements decomposition.
 
 use adept_autodiff::Graph;
+use adept_bench::conv_im2col_gemm;
 use adept_linalg::{polar_orthogonal, svd, Permutation};
 use adept_nn::onn::PtcWeight;
 use adept_nn::{ForwardCtx, ParamStore};
@@ -9,8 +10,8 @@ use adept_photonics::clements::decompose;
 use adept_photonics::devices::crossing_matrix;
 use adept_photonics::BlockMeshTopology;
 use adept_tensor::{
-    batched_matmul_into, gemm_micro_into, gemm_scalar_ref_into, im2col, im2col_into, matmul_into,
-    matmul_into_one_axis_partition, set_gemm_threads, Conv2dGeometry, Tensor, Tile,
+    batched_matmul_into, gemm_micro_into, gemm_scalar_ref_into, im2col, im2col_into,
+    Conv2dGeometry, ConvLanes, DirectConv, Tensor, Tile,
 };
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -209,43 +210,60 @@ fn bench_im2col_reuse(c: &mut Criterion) {
     group.finish();
 }
 
-/// The im2col'd conv forward shape `W·cols` (few output rows, thousands of
-/// output-pixel columns): the legacy one-axis partition vs the ragged
-/// [`adept_tensor::GemmSpec`] sweep over (row-slab × column-block) cells.
+/// The compiled plan's conv at the served shape (batch 16, 8→8 channels,
+/// 12×12, k=3, padding 1): im2col + GEMM + reorder, as plans ran it before,
+/// vs the direct kernel that replaced it, once per lane variant the host
+/// runs (`direct_portable`, `direct_avx512`). `im2col_gemm` vs
+/// `direct_portable` is the gain from dropping the patch matrix;
+/// `direct_portable` vs `direct_avx512` is the gain from wider lanes. All
+/// produce the same bits; the CI bench gate requires the variant plans run
+/// to be no slower than `im2col_gemm`, and `direct_avx512` no slower than
+/// `direct_portable`.
 fn bench_conv_forward(c: &mut Criterion) {
-    // VGG-style lowered conv: 16 output channels, C·k·k = 144, 64 images
-    // of 8×8 output pixels → [16, 144] · [144, 4096].
-    let (m, k, n) = (16usize, 144usize, 4096usize);
+    let geom = Conv2dGeometry {
+        in_channels: 8,
+        in_h: 12,
+        in_w: 12,
+        kernel: 3,
+        stride: 1,
+        padding: 1,
+    };
+    let (n, oc) = (16usize, 8usize);
     let mut rng = StdRng::seed_from_u64(10);
-    let w = Tensor::rand_uniform(&mut rng, &[m, k], -1.0, 1.0);
-    let cols = Tensor::rand_uniform(&mut rng, &[k, n], -1.0, 1.0);
-    let mut out = Tensor::zeros(&[m, n]);
-    // Pin 4 threads so both partition strategies run their parallel paths
-    // even on small build machines (with auto=1 both would degrade to the
-    // same serial kernel and the comparison would be vacuous).
-    set_gemm_threads(4);
+    let x = Tensor::rand_uniform(&mut rng, &[n, 8, 12, 12], -1.0, 1.0);
+    let w = Tensor::rand_uniform(&mut rng, &[oc, geom.col_rows()], -1.0, 1.0);
+    let bias = Tensor::rand_uniform(&mut rng, &[oc], -1.0, 1.0);
+    let mut out = vec![0.0; n * oc * geom.out_h() * geom.out_w()];
     let mut group = c.benchmark_group("conv_forward");
-    group.bench_function("one_axis_partition", |b| {
+    let (mut cols, mut gemm) = (Vec::new(), Vec::new());
+    group.bench_function("im2col_gemm", |b| {
         b.iter(|| {
-            matmul_into_one_axis_partition(
-                w.as_slice(),
-                cols.as_slice(),
-                out.as_mut_slice(),
-                m,
-                k,
+            conv_im2col_gemm(
+                x.as_slice(),
                 n,
+                &geom,
+                w.as_slice(),
+                bias.as_slice(),
+                false,
+                &mut cols,
+                &mut gemm,
+                &mut out,
             );
-            black_box(out.at(&[0, 0]))
+            black_box(out[0])
         });
     });
-    group.bench_function("ragged_sweep", |b| {
-        b.iter(|| {
-            matmul_into(w.as_slice(), cols.as_slice(), out.as_mut_slice(), m, k, n);
-            black_box(out.at(&[0, 0]))
+    let conv = DirectConv::new(w.as_slice(), bias.as_slice(), geom, oc);
+    let mut pad = vec![0.0; conv.scratch_len()];
+    for lanes in ConvLanes::ALL.into_iter().filter(|l| l.is_available()) {
+        let id = format!("direct_{}", format!("{lanes:?}").to_lowercase());
+        group.bench_function(id, |b| {
+            b.iter(|| {
+                conv.run_lanes(lanes, x.as_slice(), n, false, &mut pad, &mut out);
+                black_box(out[0])
+            });
         });
-    });
+    }
     group.finish();
-    set_gemm_threads(0);
 }
 
 /// Scalar reference kernel vs the register-blocked packed microkernel on

@@ -19,6 +19,7 @@ use adept_nn::models::{lenet5, proxy_cnn, vgg8, Backend, InputShape};
 use adept_nn::train::{evaluate_seeded, train_classifier, TrainConfig};
 use adept_nn::ParamStore;
 use adept_photonics::{butterfly::butterfly_topology, DeviceCount, FaultScenario, Pdk};
+use adept_tensor::{im2col_slice_into, matmul_into, Conv2dGeometry, Element};
 
 pub mod sweep;
 
@@ -316,6 +317,41 @@ pub fn header() -> String {
         "Acc(%)",
         "-".repeat(66)
     )
+}
+
+/// Convolution as compiled plans ran it before [`adept_tensor::DirectConv`]:
+/// `im2col` into `cols`, one [`matmul_into`] into `gemm`, then the NCHW
+/// reorder with bias and optional ReLU. `w` is `[oc, C·k·k]`. This is the
+/// reference the direct kernel is benchmarked and bit-tested against.
+///
+/// # Panics
+///
+/// Panics if the slice lengths disagree with `n`, `geom` and `oc`.
+pub fn conv_im2col_gemm<T: Element>(
+    src: &[T],
+    n: usize,
+    geom: &Conv2dGeometry,
+    w: &[T],
+    bias: &[T],
+    relu: bool,
+    cols: &mut Vec<T>,
+    gemm: &mut Vec<T>,
+    dst: &mut [T],
+) {
+    let (rows, ccols, oc) = (geom.col_rows(), geom.col_cols(n), bias.len());
+    let p = geom.out_h() * geom.out_w();
+    cols.resize(rows * ccols, T::ZERO);
+    gemm.resize(oc * ccols, T::ZERO);
+    im2col_slice_into(src, n, geom, cols);
+    matmul_into(w, cols, gemm, oc, rows, ccols);
+    for ni in 0..n {
+        for c in 0..oc {
+            for pix in 0..p {
+                let y = gemm[c * ccols + ni * p + pix] + bias[c];
+                dst[(ni * oc + c) * p + pix] = if relu { y.maximum(T::ZERO) } else { y };
+            }
+        }
+    }
 }
 
 #[cfg(test)]

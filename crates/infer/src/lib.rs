@@ -13,9 +13,10 @@
 //!   matrices are materialized **once** at plan-build time through the same
 //!   tape machinery a forward pass uses — bit-identical weights, including
 //!   the phase-noise stream for a given seed — and rebuilt only when the
-//!   parameters actually change ([`ExecPlan::refresh`]). Convolutions lower
-//!   to the existing im2col + GEMM kernels with per-plan preallocated
-//!   scratch; ReLU fuses into the preceding GEMM/batch-norm epilogue.
+//!   parameters actually change ([`ExecPlan::refresh`]). Convolutions run
+//!   on [`adept_tensor::DirectConv`], which needs no patch matrix and is
+//!   bit-identical to the tape's im2col + GEMM; ReLU fuses into the
+//!   preceding conv/GEMM/batch-norm epilogue.
 //!   Compilation takes a [`PlanPrecision`]: `F64` (default) is
 //!   bit-identical to the tape, `F32` quantizes the frozen weights once
 //!   and runs the whole warm path in single precision while keeping the

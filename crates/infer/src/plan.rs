@@ -2,21 +2,32 @@
 //!
 //! [`ExecPlan::compile`] takes the [`adept_nn::lower_model`] step list and
 //! turns it into a closed program: weight matrices frozen as contiguous
-//! tensors, every convolution lowered to the same im2col + GEMM + NCHW
-//! reorder the tape runs, per-plan scratch sized once for the maximum
-//! batch, and activations fused into the producing step's epilogue where
-//! possible. [`ExecPlan::run_batch`] then replays the program with nothing
-//! but slice arithmetic — no `Graph`, no `Var`, and **zero heap
-//! allocations** on the warm path (pinned by `tests/compiled_inference.rs`
-//! under the counting allocator).
+//! tensors, every convolution frozen into an [`adept_tensor::DirectConv`]
+//! (weights packed once into its channel-blocked, tap-major layout),
+//! per-plan scratch sized once for the maximum batch, and activations
+//! fused into the producing step's epilogue where possible.
+//! [`ExecPlan::run_batch`] then replays the program with nothing but slice
+//! arithmetic — no `Graph`, no `Var`, and **zero heap allocations** on the
+//! warm path (pinned by `tests/compiled_inference.rs` under the counting
+//! allocator).
 //!
 //! Arithmetic is deliberately a bit-for-bit mirror of the tape forward:
-//! GEMMs go through [`adept_tensor::matmul_into`] (same k-order at any
-//! thread count), convolution reorder/bias/activation apply in the tape's
-//! element order, and batch-norm keeps the tape's two-step
-//! normalize-then-affine form. With noise off, compiled outputs equal the
-//! tape's exactly; with phase noise on, compiling with seed `s` freezes the
-//! same noisy weights `evaluate_seeded(…, s)` would draw.
+//! linear GEMMs go through [`adept_tensor::matmul_into`] (same k-order at
+//! any thread count), and batch-norm keeps the tape's two-step
+//! normalize-then-affine form. Convolutions skip the tape's patch matrix
+//! but not its arithmetic: the tape computes each output as one GEMM dot
+//! product over the im2col column — an ascending-k chain from `+0.0` that
+//! skips `±0.0` weights, reads padding as `+0.0`, and multiplies then adds
+//! without FMA — followed by the reorder's bias add. The direct kernel
+//! evaluates exactly that chain, in that order, for a block of pixels at a
+//! time, reading the taps from a zero-padded copy of the input, then adds
+//! the bias. Every rounding step matches, so the bits do. With noise off,
+//! compiled outputs equal the tape's exactly; with phase noise on,
+//! compiling with seed `s` freezes the same noisy weights
+//! `evaluate_seeded(…, s)` would draw.
+//!
+//! Convolutions run on the calling thread; only a linear GEMM above the
+//! parallel work threshold fans out onto the pool.
 //!
 //! # Plan precision and the "training stays f64" invariant
 //!
@@ -24,8 +35,8 @@
 //! [`PlanPrecision::F64`] (the default) the program above is exactly the
 //! pre-dtype-axis engine, bit-identical to the tape. Under
 //! [`PlanPrecision::F32`] the frozen weights are quantized **once at
-//! freeze time** (`Tensor::to_f32`) and the whole warm path — im2col
-//! scratch, GEMMs, ping-pong slabs, fused epilogues — runs in f32; only
+//! freeze time** (`Tensor::to_f32`) and the whole warm path — padded conv
+//! inputs, GEMMs, ping-pong slabs, fused epilogues — runs in f32; only
 //! the `run_batch` boundary stays `f64` (inputs narrow into the
 //! preallocated slab, logits widen out of it), so serving, batching and
 //! checkpoints are precision-agnostic. Training and autodiff never see a
@@ -39,7 +50,7 @@ use adept_nn::{
 };
 use adept_photonics::FaultScenario;
 use adept_telemetry::Counter;
-use adept_tensor::{im2col_slice_into, matmul_into, Conv2dGeometry, Element, TensorBase};
+use adept_tensor::{matmul_into, DirectConv, Element, TensorBase};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -104,14 +115,14 @@ pub enum PlanPrecision {
 }
 
 impl PlanPrecision {
-    /// Parses a precision override. Empty (or whitespace) means "not
-    /// configured" (default `F64`); `f32`/`f64` (any case) select the
+    /// Parses a precision override. Empty (or whitespace) and `0` mean
+    /// "not configured" (default `F64`); `f32`/`f64` (any case) select the
     /// mode; anything else panics naming the variable, exactly like the
     /// `ONN_THREADS` parse — a typo'd override must never silently run at
     /// the default precision.
     pub fn parse(name: &str, raw: &str) -> Option<PlanPrecision> {
         let trimmed = raw.trim();
-        if trimmed.is_empty() {
+        if trimmed.is_empty() || trimmed == "0" {
             return None;
         }
         if trimmed.eq_ignore_ascii_case("f64") {
@@ -119,7 +130,7 @@ impl PlanPrecision {
         } else if trimmed.eq_ignore_ascii_case("f32") {
             Some(PlanPrecision::F32)
         } else {
-            panic!("invalid {name}={raw:?}: expected \"f32\", \"f64\" or empty/unset (= f64)")
+            panic!("invalid {name}={raw:?}: expected \"f32\", \"f64\", or 0/empty/unset (= f64)")
         }
     }
 
@@ -168,16 +179,19 @@ enum Step<T: Element> {
         out_f: usize,
         relu: bool,
     },
-    /// im2col + GEMM + NCHW reorder with fused bias (+ optional ReLU).
-    /// Producing; owns its patch-matrix and GEMM scratch.
+    /// Direct convolution with fused bias (+ optional ReLU), weights packed
+    /// at freeze time. Producing; owns one zero-padded input buffer.
+    ///
+    /// Bit-identical to the tape's im2col + GEMM + NCHW reorder + bias:
+    /// [`DirectConv`] accumulates each output in the GEMM's ascending-k
+    /// chain from `+0.0`, skips `±0.0` weights exactly as the GEMM does,
+    /// multiplies padded taps by `+0.0` instead of skipping them, and never
+    /// fuses the multiply into the add. The bias add and ReLU are the
+    /// reorder pass's own two operations.
     Conv {
-        w: TensorBase<T>,
-        bias: TensorBase<T>,
-        geom: Conv2dGeometry,
-        oc: usize,
+        conv: DirectConv<T>,
         relu: bool,
-        cols: Vec<T>,
-        gemm: Vec<T>,
+        pad: Vec<T>,
     },
     /// Eval-mode batch norm (+ optional ReLU). In place.
     BatchNorm {
@@ -212,7 +226,7 @@ impl<T: Element> Step<T> {
     fn out_elems(&self) -> usize {
         match self {
             Step::Linear { out_f, .. } => *out_f,
-            Step::Conv { geom, oc, .. } => oc * geom.out_h() * geom.out_w(),
+            Step::Conv { conv, .. } => conv.out_elems(),
             Step::BatchNorm { channels, hw, .. } => channels * hw,
             Step::Relu { elems } => *elems,
             Step::AvgPool { k, c, h, w } | Step::MaxPool { k, c, h, w } => c * (h / k) * (w / k),
@@ -284,10 +298,11 @@ enum Body {
 /// A frozen, tape-free inference program for one trained model.
 ///
 /// Created by [`ExecPlan::compile`]; executed by [`ExecPlan::run_batch`].
-/// Holds everything the warm path needs — frozen weights, conv scratch and
-/// two ping-pong activation slabs sized for `max_batch` — so repeated
-/// forwards allocate nothing. Clone a plan to give each serving worker
-/// private scratch; the frozen weight tensors are shared structurally.
+/// Holds everything the warm path needs — frozen weights, one padded input
+/// buffer per conv and two ping-pong activation slabs sized for
+/// `max_batch` — so repeated forwards allocate nothing. Clone a plan to
+/// give each serving worker private scratch; the linear weight tensors are
+/// shared structurally, and the packed conv weights (a few KiB) are copied.
 /// The external interface is `f64` at both ends regardless of the plan's
 /// [`PlanPrecision`].
 #[derive(Debug, Clone)]
@@ -390,15 +405,17 @@ fn build_program<T: Element>(
                     [geom.in_channels, geom.in_h, geom.in_w],
                     "conv input shape mismatch"
                 );
-                let ccols = geom.col_cols(max_batch);
-                steps.push(Step::Conv {
-                    w: T::cast_tensor(&w),
-                    bias: T::cast_tensor(&bias),
+                let conv = DirectConv::new(
+                    T::cast_tensor(&w).as_slice(),
+                    T::cast_tensor(&bias).as_slice(),
                     geom,
-                    oc: out_channels,
+                    out_channels,
+                );
+                let pad = vec![T::ZERO; conv.scratch_len()];
+                steps.push(Step::Conv {
+                    conv,
                     relu: false,
-                    cols: vec![T::ZERO; geom.col_rows() * ccols],
-                    gemm: vec![T::ZERO; out_channels * ccols],
+                    pad,
                 });
                 shape = vec![out_channels, geom.out_h(), geom.out_w()];
             }
@@ -753,41 +770,14 @@ fn run_producing<T: Element>(step: &mut Step<T>, src: &[T], dst: &mut [T], n: us
                 }
             }
         }
-        Step::Conv {
-            w,
-            bias,
-            geom,
-            oc,
-            relu,
-            cols,
-            gemm,
-        } => {
-            let p = geom.out_h() * geom.out_w();
-            let crows = geom.col_rows();
-            let ccols = geom.col_cols(n);
-            let in_elems = geom.in_channels * geom.in_h * geom.in_w;
-            im2col_slice_into(&src[..n * in_elems], n, geom, &mut cols[..crows * ccols]);
-            matmul_into(
-                w.as_slice(),
-                &cols[..crows * ccols],
-                &mut gemm[..*oc * ccols],
-                *oc,
-                crows,
-                ccols,
+        Step::Conv { conv, relu, pad } => {
+            conv.run(
+                &src[..n * conv.in_elems()],
+                n,
+                *relu,
+                pad,
+                &mut dst[..n * conv.out_elems()],
             );
-            // The tape's cols_to_nchw gather + broadcast bias add, as one
-            // fused reorder pass.
-            let b = bias.as_slice();
-            for ni in 0..n {
-                for c in 0..*oc {
-                    let dst_off = (ni * *oc + c) * p;
-                    let gemm_off = c * ccols + ni * p;
-                    for pix in 0..p {
-                        let y = gemm[gemm_off + pix] + b[c];
-                        dst[dst_off + pix] = if *relu { y.maximum(T::ZERO) } else { y };
-                    }
-                }
-            }
         }
         Step::AvgPool { k, c, h, w } => {
             let (k, c, h, w) = (*k, *c, *h, *w);
@@ -847,6 +837,8 @@ mod tests {
     fn precision_parse_accepts_both_dtypes_and_auto() {
         assert_eq!(PlanPrecision::parse("ONN_INFER_DTYPE", ""), None);
         assert_eq!(PlanPrecision::parse("ONN_INFER_DTYPE", "  "), None);
+        assert_eq!(PlanPrecision::parse("ONN_INFER_DTYPE", "0"), None);
+        assert_eq!(PlanPrecision::parse("ONN_INFER_DTYPE", " 0 "), None);
         assert_eq!(
             PlanPrecision::parse("ONN_INFER_DTYPE", "f32"),
             Some(PlanPrecision::F32)

@@ -27,7 +27,8 @@ use adept_tensor::{Conv2dGeometry, Tensor};
 /// level: photonic and electronic linear layers both lower to
 /// [`LoweredStep::Linear`] (the mesh is already folded into the frozen
 /// matrix), and every convolution family lowers to [`LoweredStep::Conv2d`]
-/// (im2col + GEMM + NCHW reorder, exactly the tape's lowering).
+/// (the weight of the tape's im2col + GEMM + NCHW reorder, which compiled
+/// plans evaluate with the same arithmetic and no patch matrix).
 #[derive(Debug, Clone)]
 pub enum LoweredStep {
     /// `y = x·Wᵀ + b`, with the transpose already materialized: `w_t` is

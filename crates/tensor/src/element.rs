@@ -1,6 +1,6 @@
 //! The dtype axis of the tensor substrate: [`Element`] abstracts the
-//! scalar type (`f64` or `f32`) under the GEMM microkernel, the im2col
-//! lowering and the compiled-inference slabs.
+//! scalar type (`f64` or `f32`) under the GEMM microkernel, the
+//! convolution kernels and the compiled-inference slabs.
 //!
 //! # The "training stays f64" invariant
 //!

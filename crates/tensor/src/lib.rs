@@ -36,9 +36,19 @@
 //!   with every element computed by the same scalar expression as the
 //!   per-tile reference so results stay bit-identical.
 //!
-//! Elementwise maps, axis reductions and `im2col`/`col2im` for convolution
-//! lowering (with [`im2col_into`] reusing a per-layer scratch buffer across
-//! training steps) round out the API.
+//! * **Two convolution paths with one arithmetic** — the tape lowers
+//!   convolutions to `im2col` + GEMM (with [`im2col_into`] reusing a
+//!   per-layer scratch buffer across training steps), because its backward
+//!   pass consumes the patch matrix. Compiled inference plans run
+//!   [`DirectConv`] instead: weights packed once into channel blocks, each
+//!   sample copied once into a zero-padded buffer, and every tap read
+//!   straight from it, with no patch matrix, packing or reorder pass. One
+//!   generic body is compiled twice, for `avx512f` and for the portable
+//!   baseline, and [`ConvLanes::detect`] picks one at run time. Each output
+//!   keeps the GEMM's ascending-k chain, zero-skip on the weight and
+//!   mul-then-add, so both paths produce the same bits.
+//!
+//! Elementwise maps and axis reductions round out the API.
 //!
 //! # Examples
 //!
@@ -67,14 +77,16 @@ mod tensor;
 mod view;
 
 pub use batched::{batched_row_combine, batched_row_dot, batched_row_scale};
-pub use conv::{col2im, im2col, im2col_into, im2col_slice_into, Conv2dGeometry};
+pub use conv::{
+    col2im, im2col, im2col_into, im2col_slice_into, Conv2dGeometry, ConvLanes, DirectConv,
+};
 pub use element::Element;
 pub use matmul::{
     batched_matmul_into, batched_matmul_ragged_into, gemm_thread_count, matmul_into, matmul_view,
     set_gemm_threads, GemmSpec, Tile,
 };
 #[doc(hidden)]
-pub use matmul::{gemm_micro_into, gemm_scalar_ref_into, matmul_into_one_axis_partition};
+pub use matmul::{gemm_micro_into, gemm_scalar_ref_into};
 pub use shape::{broadcast_shapes, Shape};
 pub use tensor::{Tensor, TensorBase, TensorF32};
 pub use view::{View, ViewBase};

@@ -773,40 +773,6 @@ fn wide_gemm_specs(
     specs
 }
 
-/// The legacy one-axis partition (rows when plentiful, else columns),
-/// bypassing the wide-shape ragged sweep. Kept callable so the
-/// `conv_forward` benchmark can compare the partition strategies; not part
-/// of the supported API.
-#[doc(hidden)]
-pub fn matmul_into_one_axis_partition<T: Element>(
-    a: &[T],
-    b: &[T],
-    c: &mut [T],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    assert_eq!(a.len(), m * k, "lhs buffer length mismatch");
-    assert_eq!(b.len(), k * n, "rhs buffer length mismatch");
-    assert_eq!(c.len(), m * n, "out buffer length mismatch");
-    let (at, bt, ct) = (
-        Tile::contiguous(0, k),
-        Tile::contiguous(0, n),
-        Tile::contiguous(0, n),
-    );
-    let threads = gemm_threads();
-    let c_len = c.len();
-    let c_ptr = SendPtr(c.as_mut_ptr());
-    let flops = 2.0 * m as f64 * n as f64 * k as f64;
-    if threads <= 1 || flops < PAR_FLOP_THRESHOLD || m * n == 0 {
-        unsafe {
-            gemm_tile(a, at, b, bt, c_ptr.0, c_len, ct, m, k, n, T::ONE, false);
-        }
-        return;
-    }
-    partition_one_axis(a, at, b, bt, c_ptr, c_len, ct, m, k, n, threads);
-}
-
 /// Batched strided GEMM: for every `t`, `C[t] = A[t] · B[t]` where all
 /// operands are `m×k` / `k×n` / `m×n` tiles addressed by [`Tile`]
 /// descriptors into flat buffers.
@@ -1338,10 +1304,10 @@ mod tests {
     }
 
     #[test]
-    fn wide_conv_shape_takes_ragged_sweep_and_matches_one_axis_bitwise() {
+    fn wide_conv_shape_takes_ragged_sweep_and_matches_serial_bitwise() {
         // The im2col'd conv forward shape: 16 output channels, thousands of
         // output-pixel columns. This must select the ragged sweep and stay
-        // bit-identical to both the legacy one-axis partition and serial.
+        // bit-identical to the serial kernel.
         let (m, k, n) = (16usize, 96usize, 2048usize);
         assert!(super::is_wide(m, n), "conv shape must take the wide path");
         let a = Tensor::from_vec(
@@ -1359,19 +1325,9 @@ mod tests {
         let _guard = thread_override_lock();
         set_gemm_threads(4);
         let ragged = a.matmul(&b);
-        let mut one_axis = Tensor::zeros(&[m, n]);
-        matmul_into_one_axis_partition(
-            a.as_slice(),
-            b.as_slice(),
-            one_axis.as_mut_slice(),
-            m,
-            k,
-            n,
-        );
         set_gemm_threads(1);
         let serial = a.matmul(&b);
         set_gemm_threads(0);
-        assert_eq!(ragged.as_slice(), one_axis.as_slice());
         assert_eq!(ragged.as_slice(), serial.as_slice());
     }
 

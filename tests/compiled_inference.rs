@@ -5,8 +5,9 @@
 //! same seed, since it freezes the very weights `evaluate_seeded` draws),
 //! and its warm path performs **zero heap allocations and zero tape
 //! nodes**. Both are pinned here — parity across dense MZI, butterfly,
-//! frozen-`SearchOutcome` and ragged (non-multiple-of-K) models at 1 and 8
-//! GEMM threads, allocations by the same counting global allocator as
+//! frozen-`SearchOutcome`, ragged (non-multiple-of-K) and strided
+//! electronic-conv models at 1 and 8 GEMM threads, allocations at the
+//! served shape by the same counting global allocator as
 //! `tests/zero_copy.rs` (zero bytes implies zero `Graph`/`Var` nodes: a
 //! node allocates).
 //!
@@ -19,12 +20,12 @@
 use adept::search::{search, AdeptConfig};
 use adept_autodiff::Graph;
 use adept_infer::{ExecPlan, PlanPrecision};
-use adept_nn::layers::{Flatten, Layer, Relu, Sequential};
+use adept_nn::layers::{Conv2d, Flatten, Layer, Linear, Relu, Sequential};
 use adept_nn::models::{proxy_cnn, Backend, InputShape};
 use adept_nn::onn::OnnLinear;
 use adept_nn::{prebuild_mesh_weights, ForwardCtx, ParamStore};
 use adept_photonics::{BlockMeshTopology, Pdk};
-use adept_tensor::{set_gemm_threads, Tensor};
+use adept_tensor::{set_gemm_threads, Conv2dGeometry, Tensor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Mutex;
@@ -189,6 +190,33 @@ fn ragged_shapes_match_tape() {
 }
 
 #[test]
+fn strided_conv_matches_tape() {
+    // Stride 2, no padding and 5 output channels (a ragged channel block of
+    // the direct conv kernel): a geometry no shipped model uses.
+    let mut store = ParamStore::new();
+    let geom = Conv2dGeometry {
+        in_channels: 3,
+        in_h: 9,
+        in_w: 9,
+        kernel: 3,
+        stride: 2,
+        padding: 0,
+    };
+    let mut model = Sequential::new();
+    model.push(Conv2d::new(&mut store, "conv", geom, 5, 13));
+    model.push(Relu);
+    model.push(Flatten);
+    model.push(Linear::new(
+        &mut store,
+        "fc",
+        5 * geom.out_h() * geom.out_w(),
+        4,
+        14,
+    ));
+    assert_parity(&mut model, &store, &[3, 9, 9], 41, true);
+}
+
+#[test]
 fn frozen_search_outcome_matches_tape() {
     let mut cfg = AdeptConfig::quick(8, Pdk::amf(), 240.0, 300.0);
     cfg.epochs = 3;
@@ -210,21 +238,23 @@ fn frozen_search_outcome_matches_tape() {
 #[test]
 fn warm_path_allocates_nothing() {
     let _guard = THREAD_OVERRIDE.lock().unwrap();
-    // Pin the GEMM to the serial kernel: the pool's spawn boxes closures,
-    // which is a real (bounded) allocation but not part of the arithmetic
-    // warm path under measurement.
-    set_gemm_threads(1);
+    // The served shape (quickstart proxy CNN, batch 16) with a 2-thread
+    // GEMM pool: the plan's convs run on the calling thread and its small
+    // linear GEMM stays below the parallel threshold, so nothing spawns a
+    // pool job (whose boxed closure would allocate).
+    set_gemm_threads(2);
     let mut store = ParamStore::new();
     let model = proxy_cnn(
         &mut store,
-        InputShape::new(2, 8, 8),
-        4,
-        4,
-        &Backend::butterfly(4),
+        InputShape::new(1, 12, 12),
+        8,
+        10,
+        &Backend::butterfly(8),
         1,
     );
-    let n = 4;
-    let mut plan = ExecPlan::compile(&model, &store, &[2, 8, 8], n, 0, PlanPrecision::F64).unwrap();
+    let n = 16;
+    let mut plan =
+        ExecPlan::compile(&model, &store, &[1, 12, 12], n, 0, PlanPrecision::F64).unwrap();
     let input = synth_input(n * plan.input_elems());
     let mut out = vec![0.0; n * plan.output_features()];
     // The plan's step loop opens a telemetry span per step; this pin only

@@ -1,19 +1,24 @@
 //! Pins for the dual-precision substrate: the f64 plan's bits are frozen
 //! against the pre-refactor baseline, f32 plans track f64 within the
-//! documented quantization tolerance, and the register-blocked GEMM
+//! documented quantization tolerance, the register-blocked GEMM
 //! microkernel is bit-identical to the scalar reference kernel on every
 //! shape class (ragged remainders, MR/NR tails, accumulate, alpha) in
-//! both dtypes.
+//! both dtypes, and the plans' direct conv kernel is bit-identical to the
+//! im2col + GEMM arithmetic it replaced, on every lane variant.
 //!
 //! The bit pin is the refactor's acceptance test: the packed microkernel
 //! and the `Element` genericization must not move a single f64 output
 //! bit. `EXPECTED_LOGITS_FNV` was captured on the quickstart-scale CNN
 //! *before* the microkernel landed and must hold at any thread count.
 
+use adept_bench::conv_im2col_gemm;
 use adept_infer::{ExecPlan, PlanPrecision};
 use adept_nn::models::{proxy_cnn, Backend, InputShape};
 use adept_nn::ParamStore;
-use adept_tensor::{gemm_micro_into, gemm_scalar_ref_into, set_gemm_threads, Element};
+use adept_tensor::{
+    gemm_micro_into, gemm_scalar_ref_into, set_gemm_threads, Conv2dGeometry, ConvLanes, DirectConv,
+    Element,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -257,8 +262,102 @@ fn microkernel_edge_shapes_match_scalar_bitwise() {
     }
 }
 
+/// One random draw: mostly uniform in `[-2, 2)`, a signed zero with
+/// probability `zeros`/32, and ±Inf or NaN with probability `specials`/32.
+fn draw<T: Element>(rng: &mut StdRng, zeros: u32, specials: u32) -> T {
+    let r = rng.gen_range(0..32u32);
+    if r < zeros {
+        if r % 2 == 0 {
+            T::ZERO
+        } else {
+            -T::ZERO
+        }
+    } else if r < zeros + specials {
+        T::from_f64([f64::INFINITY, f64::NEG_INFINITY, f64::NAN][(r % 3) as usize])
+    } else {
+        T::from_f64(rng.gen_range(-2.0..2.0))
+    }
+}
+
+/// Equal bits, with any two NaNs equal.
+fn same_bits<T: Element>(a: T, b: T) -> bool {
+    let (a, b) = (a.to_f64(), b.to_f64());
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+/// Asserts that every lane variant of the direct conv kernel the host runs
+/// reproduces the im2col + GEMM + bias/ReLU reorder bit for bit. Half the
+/// cases sprinkle ±Inf and NaN into the input, so a skipped `±0.0` weight
+/// facing an infinite tap is exercised; the scratch starts as NaN garbage.
+fn assert_direct_conv_matches_im2col_gemm<T: Element>(
+    geom: Conv2dGeometry,
+    oc: usize,
+    n: usize,
+    relu: bool,
+    seed: u64,
+) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let specials = if seed % 2 == 0 { 1 } else { 0 };
+    let x: Vec<T> = (0..n * geom.in_channels * geom.in_h * geom.in_w)
+        .map(|_| draw(&mut rng, 4, specials))
+        .collect();
+    let w: Vec<T> = (0..oc * geom.col_rows())
+        .map(|_| draw(&mut rng, 8, 0))
+        .collect();
+    let bias: Vec<T> = (0..oc).map(|_| draw(&mut rng, 4, 0)).collect();
+    let mut want = vec![T::ZERO; n * oc * geom.out_h() * geom.out_w()];
+    let (mut cols, mut gemm) = (Vec::new(), Vec::new());
+    conv_im2col_gemm(
+        &x, n, &geom, &w, &bias, relu, &mut cols, &mut gemm, &mut want,
+    );
+    let conv = DirectConv::new(&w, &bias, geom, oc);
+    for lanes in ConvLanes::ALL.into_iter().filter(|l| l.is_available()) {
+        let mut pad = vec![T::from_f64(f64::NAN); conv.scratch_len()];
+        let mut got = vec![T::from_f64(f64::NAN); want.len()];
+        conv.run_lanes(lanes, &x, n, relu, &mut pad, &mut got);
+        for (i, (&e, &g)) in want.iter().zip(&got).enumerate() {
+            assert!(
+                same_bits(e, g),
+                "[{geom:?} oc={oc} n={n} relu={relu} {} {lanes:?}] elem {i}: \
+                 im2col+gemm {e:?} vs direct {g:?}",
+                T::DTYPE_NAME
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Randomized conv geometries: the direct kernel equals im2col + GEMM
+    /// bitwise on every lane variant, both dtypes.
+    #[test]
+    fn direct_conv_matches_im2col_gemm_on_random_shapes(
+        c_in in 1usize..10,
+        oc in 1usize..12,
+        k_sel in 0usize..3,
+        padding in 0usize..3,
+        stride in 1usize..3,
+        h in 3usize..14,
+        w in 3usize..14,
+        n in 1usize..18,
+        relu_sel in 0usize..2,
+        seed in 0u64..1_000_000,
+    ) {
+        let kernel: usize = [1, 3, 5][k_sel];
+        // The kernel must fit into the padded input.
+        let min_side = kernel.saturating_sub(2 * padding);
+        let geom = Conv2dGeometry {
+            in_channels: c_in,
+            in_h: h.max(min_side),
+            in_w: w.max(min_side),
+            kernel,
+            stride,
+            padding,
+        };
+        assert_direct_conv_matches_im2col_gemm::<f64>(geom, oc, n, relu_sel == 1, seed);
+        assert_direct_conv_matches_im2col_gemm::<f32>(geom, oc, n, relu_sel == 1, seed);
+    }
 
     /// Randomized shapes: micro == scalar bitwise, both dtypes.
     #[test]
