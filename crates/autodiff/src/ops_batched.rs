@@ -293,25 +293,22 @@ pub fn batched_tile_product_grid<'g>(
     );
     let mut out = Tensor::zeros(&[out_rows, out_cols]);
     let mut im_grid = Tensor::zeros(&[out_rows, out_cols]);
-    // SAFETY: grid cells are pairwise disjoint blocks of the output.
-    unsafe {
-        batched_matmul_ragged_into(
-            ur.as_slice(),
-            vr.as_slice(),
-            out.as_mut_slice(),
-            &fwd,
-            1.0,
-            false,
-        );
-        batched_matmul_ragged_into(
-            ui.as_slice(),
-            vi.as_slice(),
-            im_grid.as_mut_slice(),
-            &fwd,
-            1.0,
-            false,
-        );
-    }
+    batched_matmul_ragged_into(
+        ur.as_slice(),
+        vr.as_slice(),
+        out.as_mut_slice(),
+        &fwd,
+        1.0,
+        false,
+    );
+    batched_matmul_ragged_into(
+        ui.as_slice(),
+        vi.as_slice(),
+        im_grid.as_mut_slice(),
+        &fwd,
+        1.0,
+        false,
+    );
     // Re(UΣ·V) = re − im; `x + (−1)·y` is IEEE-exact subtraction, keeping
     // bit-equivalence with the separate-products reference path.
     out.axpy(-1.0, &im_grid);
@@ -342,17 +339,14 @@ pub fn batched_tile_product_grid<'g>(
                     },
                 );
                 let mut d = Tensor::zeros(&[t_tiles, k, k]);
-                // SAFETY: per-tile output slabs are disjoint.
-                unsafe {
-                    batched_matmul_ragged_into(
-                        gs,
-                        factor.as_slice(),
-                        d.as_mut_slice(),
-                        &specs,
-                        alpha,
-                        false,
-                    );
-                }
+                batched_matmul_ragged_into(
+                    gs,
+                    factor.as_slice(),
+                    d.as_mut_slice(),
+                    &specs,
+                    alpha,
+                    false,
+                );
                 grads[slot] = Some(d);
             }
             // d v_re[t] = us_re[t][:m, :]ᵀ · g_t  (and −us_im for v_im).
@@ -371,17 +365,14 @@ pub fn batched_tile_product_grid<'g>(
                     },
                 );
                 let mut d = Tensor::zeros(&[t_tiles, k, k]);
-                // SAFETY: per-tile output slabs are disjoint.
-                unsafe {
-                    batched_matmul_ragged_into(
-                        factor.as_slice(),
-                        gs,
-                        d.as_mut_slice(),
-                        &specs,
-                        alpha,
-                        false,
-                    );
-                }
+                batched_matmul_ragged_into(
+                    factor.as_slice(),
+                    gs,
+                    d.as_mut_slice(),
+                    &specs,
+                    alpha,
+                    false,
+                );
                 grads[slot] = Some(d);
             }
             grads

@@ -10,8 +10,7 @@ use adept_photonics::clements::decompose;
 use adept_photonics::devices::crossing_matrix;
 use adept_photonics::BlockMeshTopology;
 use adept_tensor::{
-    batched_matmul_into, gemm_micro_into, gemm_scalar_ref_into, im2col, im2col_into,
-    Conv2dGeometry, ConvLanes, DirectConv, Tensor, Tile,
+    batched_matmul_into, im2col, im2col_into, Conv2dGeometry, ConvLanes, DirectConv, Tensor, Tile,
 };
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -134,20 +133,17 @@ fn bench_tile_assembly(c: &mut Criterion) {
     group.bench_function("batched", |b| {
         b.iter(|| {
             let mut out = Tensor::zeros(&[grid * k, grid * k]);
-            // SAFETY: c tiles are the disjoint K x K cells of the grid.
-            unsafe {
-                batched_matmul_into(
-                    lhs.as_slice(),
-                    &a_tiles,
-                    rhs.as_slice(),
-                    &b_tiles,
-                    out.as_mut_slice(),
-                    &c_tiles,
-                    k,
-                    k,
-                    k,
-                );
-            }
+            batched_matmul_into(
+                lhs.as_slice(),
+                &a_tiles,
+                rhs.as_slice(),
+                &b_tiles,
+                out.as_mut_slice(),
+                &c_tiles,
+                k,
+                k,
+                k,
+            );
             black_box(out)
         });
     });
@@ -266,40 +262,9 @@ fn bench_conv_forward(c: &mut Criterion) {
     group.finish();
 }
 
-/// Scalar reference kernel vs the register-blocked packed microkernel on
-/// the same serial contiguous GEMMs: the conv-lowered wide shape
-/// `[16,144]·[144,4096]` plus square shapes. Both produce bit-identical
-/// results (pinned by `tests/mixed_precision.rs`); the CI bench gate
-/// requires `micro` to be no slower than `scalar` on these shapes.
-fn bench_gemm_micro(c: &mut Criterion) {
-    let shapes: [(usize, usize, usize); 3] = [(16, 144, 4096), (128, 128, 128), (256, 256, 256)];
-    let mut group = c.benchmark_group("gemm_micro");
-    for &(m, k, n) in &shapes {
-        let mut rng = StdRng::seed_from_u64(11);
-        let a = Tensor::rand_uniform(&mut rng, &[m, k], -1.0, 1.0);
-        let b = Tensor::rand_uniform(&mut rng, &[k, n], -1.0, 1.0);
-        let mut out = vec![0.0; m * n];
-        let tag = format!("{m}x{k}x{n}");
-        group.bench_function(format!("scalar_{tag}"), |bench| {
-            bench.iter(|| {
-                gemm_scalar_ref_into(a.as_slice(), b.as_slice(), &mut out, m, k, n, 1.0, false);
-                black_box(out[0])
-            });
-        });
-        group.bench_function(format!("micro_{tag}"), |bench| {
-            bench.iter(|| {
-                gemm_micro_into(a.as_slice(), b.as_slice(), &mut out, m, k, n, 1.0, false);
-                black_box(out[0])
-            });
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_gemm,
-    bench_gemm_micro,
     bench_im2col,
     bench_svd,
     bench_polar,

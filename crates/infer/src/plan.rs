@@ -12,8 +12,8 @@
 //! allocator).
 //!
 //! Arithmetic is deliberately a bit-for-bit mirror of the tape forward:
-//! linear GEMMs go through [`adept_tensor::matmul_into`] (same k-order at
-//! any thread count), and batch-norm keeps the tape's two-step
+//! linear GEMMs go through [`adept_tensor::matmul_into`], the tape's own
+//! kernel, and batch-norm keeps the tape's two-step
 //! normalize-then-affine form. Convolutions skip the tape's patch matrix
 //! but not its arithmetic: the tape computes each output as one GEMM dot
 //! product over the im2col column — an ascending-k chain from `+0.0` that
@@ -26,8 +26,8 @@
 //! compiling with seed `s` freezes the same noisy weights
 //! `evaluate_seeded(…, s)` would draw.
 //!
-//! Convolutions run on the calling thread; only a linear GEMM above the
-//! parallel work threshold fans out onto the pool.
+//! Every step runs on the calling thread: no conv and no GEMM spawns a
+//! pool job, at any batch or layer size.
 //!
 //! # Plan precision and the "training stays f64" invariant
 //!

@@ -87,8 +87,8 @@ pub struct ServeConfig {
     /// Mini-batch size cap; `0` = auto (`ONN_SERVE_BATCH`, else 8, capped
     /// at the plan's `max_batch`).
     pub max_batch: usize,
-    /// Worker count; `0` = auto (`ONN_SERVE_THREADS`, else the GEMM pool
-    /// width).
+    /// Worker count; `0` = auto (`ONN_SERVE_THREADS`, else the pool's auto
+    /// thread count).
     pub threads: usize,
     /// How long a worker holding a partial batch waits for more arrivals
     /// before running what it has.

@@ -408,7 +408,7 @@ impl Checkpoint {
             input: InputShape::new(nums[0], nums[1], nums[2]),
             channels: nums[3],
             classes: nums[4],
-            seed: parse_u64(line_no, tokens[7])?,
+            seed: parse_int(line_no, tokens[7])?,
         };
 
         let (line_no, tokens) = cur.expect("backend line")?;
@@ -421,12 +421,12 @@ impl Checkpoint {
         let backend =
             match tokens.get(1).copied() {
                 Some("mzi") if tokens.len() == 3 => Backend::Mzi {
-                    k: parse_usize(line_no, tokens[2])?,
+                    k: parse_int(line_no, tokens[2])?,
                 },
                 Some("topology") if tokens.len() == 5 => {
-                    let k = parse_usize(line_no, tokens[2])?;
-                    let nu = parse_usize(line_no, tokens[3])?;
-                    let nv = parse_usize(line_no, tokens[4])?;
+                    let k = parse_int(line_no, tokens[2])?;
+                    let nu = parse_int(line_no, tokens[3])?;
+                    let nv = parse_int(line_no, tokens[4])?;
                     let u = parse_mesh(&mut cur, "ublock", k, nu)?;
                     let v = parse_mesh(&mut cur, "vblock", k, nv)?;
                     Backend::Topology { u, v }
@@ -441,7 +441,7 @@ impl Checkpoint {
         if tokens.len() != 2 || tokens[0] != "noise_seed" {
             return Err(CheckpointError::at(line_no, "expected `noise_seed <u64>`"));
         }
-        let noise_seed = parse_u64(line_no, tokens[1])?;
+        let noise_seed = parse_int(line_no, tokens[1])?;
 
         let fault = if cur.peek_key() == Some("fault_seed") {
             Some(parse_fault(&mut cur)?)
@@ -453,8 +453,10 @@ impl Checkpoint {
         if tokens.len() != 2 || tokens[0] != "params" {
             return Err(CheckpointError::at(line_no, "expected `params <count>`"));
         }
-        let n_params = parse_usize(line_no, tokens[1])?;
-        let mut params = Vec::with_capacity(n_params);
+        // No preallocation from declared counts: a lying count must end at
+        // a truncation or record error, not at a huge allocation.
+        let n_params: usize = parse_int(line_no, tokens[1])?;
+        let mut params = Vec::new();
         for _ in 0..n_params {
             let (line_no, tokens) = cur.expect("param line")?;
             if tokens.len() < 4 || tokens[0] != "param" {
@@ -464,16 +466,17 @@ impl Checkpoint {
                 ));
             }
             let name = tokens[1].to_owned();
-            let ndim = parse_usize(line_no, tokens[2])?;
-            if tokens.len() < 4 + ndim {
+            let ndim: usize = parse_int(line_no, tokens[2])?;
+            if tokens.len() - 4 < ndim {
                 return Err(CheckpointError::at(
                     line_no,
                     format!("param `{name}` declares {ndim} dims but the line is too short"),
                 ));
             }
             let shape = parse_usizes(line_no, &tokens[3..3 + ndim])?;
-            let len = parse_usize(line_no, tokens[3 + ndim])?;
-            if shape.iter().product::<usize>() != len {
+            let len: usize = parse_int(line_no, tokens[3 + ndim])?;
+            let scalars = shape.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d));
+            if scalars != Some(len) {
                 return Err(CheckpointError::at(
                     line_no,
                     format!("param `{name}`: shape {shape:?} does not hold {len} scalars"),
@@ -497,8 +500,8 @@ impl Checkpoint {
         if tokens.len() != 2 || tokens[0] != "state" {
             return Err(CheckpointError::at(line_no, "expected `state <count>`"));
         }
-        let n_state = parse_usize(line_no, tokens[1])?;
-        let mut state = Vec::with_capacity(n_state);
+        let n_state: usize = parse_int(line_no, tokens[1])?;
+        let mut state = Vec::new();
         for _ in 0..n_state {
             let (line_no, tokens) = cur.expect("stat line")?;
             if tokens.len() < 3 || tokens[0] != "stat" {
@@ -508,8 +511,8 @@ impl Checkpoint {
                 ));
             }
             let name = tokens[1].to_owned();
-            let len = parse_usize(line_no, tokens[2])?;
-            if tokens.len() != 3 + len {
+            let len: usize = parse_int(line_no, tokens[2])?;
+            if tokens.len() - 3 != len {
                 return Err(CheckpointError::at(
                     line_no,
                     format!(
@@ -612,20 +615,22 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn parse_usize(line: usize, token: &str) -> Result<usize, CheckpointError> {
-    token
-        .parse()
-        .map_err(|_| CheckpointError::at(line, format!("expected an integer, got `{token}`")))
+/// Parses one decimal integer of type `T`; out-of-range values are errors,
+/// never truncations.
+fn parse_int<T: std::str::FromStr>(line: usize, token: &str) -> Result<T, CheckpointError> {
+    token.parse().map_err(|_| {
+        CheckpointError::at(
+            line,
+            format!(
+                "expected an integer ({}), got `{token}`",
+                std::any::type_name::<T>()
+            ),
+        )
+    })
 }
 
 fn parse_usizes(line: usize, tokens: &[&str]) -> Result<Vec<usize>, CheckpointError> {
-    tokens.iter().map(|t| parse_usize(line, t)).collect()
-}
-
-fn parse_u64(line: usize, token: &str) -> Result<u64, CheckpointError> {
-    token
-        .parse()
-        .map_err(|_| CheckpointError::at(line, format!("expected an integer, got `{token}`")))
+    tokens.iter().map(|t| parse_int(line, t)).collect()
 }
 
 fn parse_hex(line: usize, token: &str) -> Result<u64, CheckpointError> {
@@ -647,16 +652,16 @@ fn parse_mesh(
     k: usize,
     count: usize,
 ) -> Result<BlockMeshTopology, CheckpointError> {
-    let mut blocks = Vec::with_capacity(count);
+    let mut blocks = Vec::new();
     for _ in 0..count {
         let (line_no, tokens) = cur.expect(&format!("{tag} line"))?;
-        if tokens.len() != 3 + k || tokens[0] != tag {
+        if tokens.len().checked_sub(3) != Some(k) || tokens[0] != tag {
             return Err(CheckpointError::at(
                 line_no,
                 format!("expected `{tag} <dc_start> <flags> <{k} perm wires>`"),
             ));
         }
-        let dc_start = parse_usize(line_no, tokens[1])?;
+        let dc_start: usize = parse_int(line_no, tokens[1])?;
         if dc_start > 1 {
             return Err(CheckpointError::at(line_no, "dc_start must be 0 or 1"));
         }
@@ -702,7 +707,7 @@ fn parse_fault(cur: &mut Cursor<'_>) -> Result<FaultScenario, CheckpointError> {
     if tokens.len() != 2 || tokens[0] != "fault_seed" {
         return Err(CheckpointError::at(line_no, "expected `fault_seed <u64>`"));
     }
-    let mut scenario = FaultScenario::new(parse_u64(line_no, tokens[1])?);
+    let mut scenario = FaultScenario::new(parse_int(line_no, tokens[1])?);
     loop {
         let (line_no, tokens) = cur.expect("fault or fault_fp line")?;
         match tokens[0] {
@@ -722,7 +727,7 @@ fn parse_fault(cur: &mut Cursor<'_>) -> Result<FaultScenario, CheckpointError> {
                         std: f64::from_bits(parse_hex(line_no, tokens[2])?),
                     },
                     (Some("quant"), 3) => FaultKind::PhaseQuantization {
-                        bits: parse_usize(line_no, tokens[2])? as u32,
+                        bits: parse_int(line_no, tokens[2])?,
                     },
                     _ => {
                         return Err(CheckpointError::at(
@@ -731,6 +736,9 @@ fn parse_fault(cur: &mut Cursor<'_>) -> Result<FaultScenario, CheckpointError> {
                         ))
                     }
                 };
+                kind.check().map_err(|msg| {
+                    CheckpointError::at(line_no, format!("invalid fault record: {msg}"))
+                })?;
                 scenario = scenario.with(kind);
             }
             "fault_fp" if tokens.len() == 2 => {
@@ -863,6 +871,98 @@ mod tests {
         let err = Checkpoint::parse(&corrupt).err().unwrap();
         assert!(err.message.contains("checksum mismatch"), "{err}");
         assert!(err.to_string().starts_with("checkpoint line"), "{err}");
+    }
+
+    /// Re-signs hand-edited checkpoint text: recomputes the trailing `end`
+    /// checksum over the edited body. FNV-1a is a checksum, not a MAC, so
+    /// anyone can do this; the parser must not rely on it for validity.
+    fn reseal(text: &str) -> String {
+        let end_pos = text.rfind("\nend ").unwrap();
+        let body = &text[..end_pos + 1];
+        format!("{body}end {:016x}\n", fnv1a(body.as_bytes()))
+    }
+
+    /// 1-based number of the first line of `text` starting with `prefix`.
+    fn line_of(text: &str, prefix: &str) -> usize {
+        text.lines().position(|l| l.starts_with(prefix)).unwrap() + 1
+    }
+
+    #[test]
+    fn resealed_hostile_records_are_errors_not_panics() {
+        let fault = FaultScenario::new(3)
+            .with(FaultKind::DeadShifter { p: 0.1 })
+            .with(FaultKind::PhaseQuantization { bits: 6 });
+        let ckpt = tiny_checkpoint(Some(fault));
+        let text = ckpt.to_text();
+        let line = |prefix: &str| text.lines().find(|l| l.starts_with(prefix)).unwrap();
+        let params = format!("params {}", ckpt.params.len());
+        let bias = line("param conv1.b ");
+        let stat = line("stat ");
+        let stat_name = stat.split_whitespace().nth(1).unwrap();
+        // (original line, hostile replacement, expected error, line prefix
+        // the error must point at)
+        let cases = [
+            (
+                "fault quant 6".to_owned(),
+                "fault quant 0".to_owned(),
+                "quantization bits must be in 1..=52",
+                "fault quant",
+            ),
+            (
+                line("fault dead_shifter ").to_owned(),
+                format!("fault dead_shifter {:016x}", 5.0f64.to_bits()),
+                "probability must be in [0, 1]",
+                "fault dead_shifter",
+            ),
+            (
+                "fault quant 6".to_owned(),
+                "fault quant 4294967302".to_owned(),
+                "expected an integer (u32), got `4294967302`",
+                "fault quant",
+            ),
+            // Lying counts run past the real records into the `state`
+            // line instead of allocating (or overflowing) up front.
+            (
+                params.clone(),
+                "params 18446744073709551615".to_owned(),
+                "expected `param <name>",
+                "state ",
+            ),
+            (
+                params,
+                "params 1000000000000".to_owned(),
+                "expected `param <name>",
+                "state ",
+            ),
+            // Declared sizes whose arithmetic would overflow.
+            (
+                bias.to_owned(),
+                bias.replacen(" 1 2 2 ", " 18446744073709551615 2 2 ", 1),
+                "declares 18446744073709551615 dims but the line is too short",
+                "param conv1.b ",
+            ),
+            (
+                bias.to_owned(),
+                "param conv1.b 2 4294967296 4294967296 0".to_owned(),
+                "does not hold 0 scalars",
+                "param conv1.b ",
+            ),
+            (
+                stat.to_owned(),
+                format!("stat {stat_name} 18446744073709551615"),
+                "declares 18446744073709551615 values but carries 0",
+                "stat ",
+            ),
+        ];
+        for (from, to, want, at) in cases {
+            assert!(text.contains(&from), "fixture lost `{from}`");
+            let hostile = reseal(&text.replacen(&from, &to, 1));
+            let err = Checkpoint::parse(&hostile)
+                .err()
+                .unwrap_or_else(|| panic!("`{to}` must be rejected"));
+            assert!(err.message.contains(want), "`{to}`: {err}");
+            assert_eq!(err.line, line_of(&hostile, at), "`{to}`: {err}");
+        }
     }
 
     #[test]

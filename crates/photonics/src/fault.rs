@@ -80,24 +80,29 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    fn validate(&self) {
+    /// Checks the fault's parameters: probabilities in `[0, 1]`, a finite
+    /// stuck phase, a finite `std ≥ 0` and `bits ∈ 1..=52`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the violated bound as a static message.
+    pub fn check(&self) -> Result<(), &'static str> {
+        let require = |ok: bool, msg| if ok { Ok(()) } else { Err(msg) };
+        let probability =
+            |p: f64| require((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
         match *self {
-            FaultKind::DeadShifter { p } | FaultKind::DeadCoupler { p } => {
-                assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
-            }
+            FaultKind::DeadShifter { p } | FaultKind::DeadCoupler { p } => probability(p),
             FaultKind::StuckShifter { p, theta } => {
-                assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
-                assert!(theta.is_finite(), "stuck phase must be finite");
+                probability(p)?;
+                require(theta.is_finite(), "stuck phase must be finite")
             }
             FaultKind::ThermalDrift { std } => {
-                assert!(std.is_finite() && std >= 0.0, "std must be finite and ≥ 0");
+                require(std.is_finite() && std >= 0.0, "std must be finite and ≥ 0")
             }
-            FaultKind::PhaseQuantization { bits } => {
-                assert!(
-                    (1..=52).contains(&bits),
-                    "quantization bits must be in 1..=52"
-                );
-            }
+            FaultKind::PhaseQuantization { bits } => require(
+                (1..=52).contains(&bits),
+                "quantization bits must be in 1..=52",
+            ),
         }
     }
 
@@ -153,11 +158,14 @@ impl FaultScenario {
     ///
     /// # Panics
     ///
-    /// Panics if the fault's parameters are out of range (probabilities
-    /// outside `[0, 1]`, non-finite phases, `std < 0`, `bits ∉ 1..=52`).
+    /// Panics with [`FaultKind::check`]'s message if the fault's
+    /// parameters are out of range (probabilities outside `[0, 1]`,
+    /// non-finite phases, `std < 0`, `bits ∉ 1..=52`).
     #[must_use]
     pub fn with(mut self, fault: FaultKind) -> Self {
-        fault.validate();
+        if let Err(msg) = fault.check() {
+            panic!("{msg}");
+        }
         self.faults.push(fault);
         self
     }

@@ -168,20 +168,17 @@ impl Tensor {
         let b_tiles: Vec<Tile> = (0..t).map(|i| Tile::contiguous(i * k2 * n, n)).collect();
         let c_tiles: Vec<Tile> = (0..t).map(|i| Tile::contiguous(i * m * n, n)).collect();
         let mut out = Tensor::zeros(&[t, m, n]);
-        // SAFETY: c tiles are the disjoint per-batch slabs of `out`.
-        unsafe {
-            batched_matmul_into(
-                self.as_slice(),
-                &a_tiles,
-                rhs.as_slice(),
-                &b_tiles,
-                out.as_mut_slice(),
-                &c_tiles,
-                m,
-                k,
-                n,
-            );
-        }
+        batched_matmul_into(
+            self.as_slice(),
+            &a_tiles,
+            rhs.as_slice(),
+            &b_tiles,
+            out.as_mut_slice(),
+            &c_tiles,
+            m,
+            k,
+            n,
+        );
         out
     }
 

@@ -1,6 +1,6 @@
 //! The dtype axis of the tensor substrate: [`Element`] abstracts the
-//! scalar type (`f64` or `f32`) under the GEMM microkernel, the
-//! convolution kernels and the compiled-inference slabs.
+//! scalar type (`f64` or `f32`) under the GEMM kernel, the convolution
+//! kernels and the compiled-inference slabs.
 //!
 //! # The "training stays f64" invariant
 //!
@@ -14,19 +14,15 @@
 //! dtype axis: there is no code path on which a training-visible value
 //! could round-trip through f32.
 //!
-//! The trait is deliberately small: arithmetic + the conversions and
-//! constants the kernels need, plus [`Element::take_pack_scratch`] /
-//! [`Element::put_pack_scratch`], the per-type thread-local packing
-//! buffers of the register-blocked GEMM microkernel (the same
-//! reuse-a-thread-local-`Vec` idiom the im2col scratch uses).
+//! The trait is deliberately small: arithmetic plus the conversions and
+//! constants the kernels need.
 
 use crate::tensor::TensorBase;
-use std::cell::Cell;
 use std::fmt::{Debug, Display};
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub};
 
 /// A scalar element type the tensor substrate can store and the GEMM
-/// microkernel can compute in: `f64` (default everywhere, the only dtype
+/// kernel can compute in: `f64` (default everywhere, the only dtype
 /// training sees) or `f32` (inference-only storage/compute mode).
 ///
 /// See the [module docs](crate::element) for the "training stays f64"
@@ -73,16 +69,6 @@ pub trait Element:
     /// freeze-time weight quantization of f32 inference plans.
     fn cast_tensor(t: &TensorBase<f64>) -> TensorBase<Self>;
 
-    /// Takes this dtype's thread-local GEMM packing buffers (A-panel,
-    /// B-panel), leaving empty ones behind. Take/put rather than a
-    /// `RefCell` borrow so a re-entrant taker can never panic — it just
-    /// gets fresh buffers.
-    fn take_pack_scratch() -> (Vec<Self>, Vec<Self>);
-
-    /// Returns packing buffers taken with [`Element::take_pack_scratch`]
-    /// so their capacity is reused by the next GEMM on this thread.
-    fn put_pack_scratch(bufs: (Vec<Self>, Vec<Self>));
-
     /// Narrows a batch of `f64` samples into a preallocated slab of this
     /// dtype (the warm-path input conversion of f32 plans; allocates
     /// nothing).
@@ -102,12 +88,7 @@ pub trait Element:
 }
 
 macro_rules! impl_element {
-    ($t:ty, $name:literal, $scratch:ident, $cast:expr) => {
-        thread_local! {
-            static $scratch: Cell<(Vec<$t>, Vec<$t>)> =
-                const { Cell::new((Vec::new(), Vec::new())) };
-        }
-
+    ($t:ty, $name:literal, $cast:expr) => {
         impl Element for $t {
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
@@ -133,20 +114,12 @@ macro_rules! impl_element {
                 let cast: fn(&TensorBase<f64>) -> TensorBase<Self> = $cast;
                 cast(t)
             }
-
-            fn take_pack_scratch() -> (Vec<Self>, Vec<Self>) {
-                $scratch.with(Cell::take)
-            }
-
-            fn put_pack_scratch(bufs: (Vec<Self>, Vec<Self>)) {
-                $scratch.with(|s| s.set(bufs));
-            }
         }
     };
 }
 
-impl_element!(f64, "f64", PACK_F64, |t| t.clone());
-impl_element!(f32, "f32", PACK_F32, TensorBase::<f64>::to_f32);
+impl_element!(f64, "f64", |t| t.clone());
+impl_element!(f32, "f32", TensorBase::<f64>::to_f32);
 
 #[cfg(test)]
 mod tests {
@@ -160,17 +133,6 @@ mod tests {
         assert_eq!(f32::DTYPE_NAME, "f32");
         assert_eq!(f32::from_f64(0.1).to_f64(), 0.1f32 as f64);
         assert_eq!(Element::maximum(<f64 as Element>::NEG_INFINITY, 3.0), 3.0);
-    }
-
-    #[test]
-    fn pack_scratch_round_trips_capacity() {
-        let (mut a, b) = f32::take_pack_scratch();
-        a.resize(1024, 0.0);
-        let cap = a.capacity();
-        f32::put_pack_scratch((a, b));
-        let (a2, _b2) = f32::take_pack_scratch();
-        assert!(a2.capacity() >= cap, "capacity must be reused");
-        f32::put_pack_scratch((a2, _b2));
     }
 
     #[test]

@@ -17,15 +17,16 @@
 //!   over the same storage. Slicing, transposition and `K×K` tile
 //!   extraction are pure stride arithmetic; [`View::materialize`] is
 //!   zero-copy when the view is contiguous.
-//! * **Batched, strided kernels over a register-blocked microkernel** —
-//!   [`matmul_into`] (threaded GEMM with row- or column-partitioning, a
-//!   packed MR×NR register-tile core for large tiles, generic over
-//!   [`Element`]), [`matmul_view`] (GEMM straight off view
-//!   strides), [`batched_matmul_into`] (all PTC tiles of a layer in one
-//!   sweep, addressed by [`Tile`] descriptors) and
-//!   [`batched_matmul_ragged_into`] (mixed-shape [`GemmSpec`] jobs, so the
-//!   cropped edge tiles of non-multiple-of-K layers join the same sweep)
-//!   avoid materializing operands entirely.
+//! * **One GEMM kernel behind batched, strided entry points** — a scalar
+//!   i-k-j tile kernel, generic over [`Element`], runs every product on
+//!   the calling thread: [`matmul_into`] (row-major slices),
+//!   [`matmul_view`] (GEMM straight off view strides),
+//!   [`batched_matmul_into`] (all PTC tiles of a layer in one sweep,
+//!   addressed by [`Tile`] descriptors) and [`batched_matmul_ragged_into`]
+//!   (mixed-shape [`GemmSpec`] jobs, so the cropped edge tiles of
+//!   non-multiple-of-K layers join the same sweep). None of them
+//!   materializes its operands, and every output element accumulates along
+//!   one ascending-k chain, so results never depend on the thread count.
 //! * **Batched broadcast kernels over a leading tile axis** —
 //!   [`batched_row_combine`]/[`batched_row_scale`]/[`batched_row_dot`]
 //!   (phase-rotation row broadcasts and their adjoints),
@@ -47,6 +48,10 @@
 //!   baseline, and [`ConvLanes::detect`] picks one at run time. Each output
 //!   keeps the GEMM's ascending-k chain, zero-skip on the weight and
 //!   mul-then-add, so both paths produce the same bits.
+//! * **One shared thread pool** — [`pool`] keeps persistent workers with
+//!   scoped, borrowing jobs. Its users are the serving runtime's workers
+//!   and the robustness sweep's cells; no kernel in this crate spawns
+//!   onto it.
 //!
 //! Elementwise maps and axis reductions round out the API.
 //!
@@ -83,10 +88,8 @@ pub use conv::{
 pub use element::Element;
 pub use matmul::{
     batched_matmul_into, batched_matmul_ragged_into, gemm_thread_count, matmul_into, matmul_view,
-    set_gemm_threads, GemmSpec, Tile,
+    GemmSpec, Tile,
 };
-#[doc(hidden)]
-pub use matmul::{gemm_micro_into, gemm_scalar_ref_into};
 pub use shape::{broadcast_shapes, Shape};
 pub use tensor::{Tensor, TensorBase, TensorF32};
 pub use view::{View, ViewBase};

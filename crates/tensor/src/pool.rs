@@ -1,10 +1,8 @@
-//! A shared scoped thread pool for GEMM partitions, serve workers and
-//! sweep cells.
+//! A shared scoped thread pool for serve workers and sweep cells.
 //!
-//! The original kernels spawned fresh OS threads through
-//! [`std::thread::scope`] on *every* parallel GEMM — tens of thousands of
-//! spawns per training epoch. This module keeps one process-wide pool of
-//! persistent workers and gives callers the same scoped-borrow ergonomics:
+//! This module keeps one process-wide pool of persistent workers and gives
+//! callers the scoped-borrow ergonomics of [`std::thread::scope`] without
+//! an OS-thread spawn per job:
 //!
 //! ```
 //! let mut parts = vec![0u64; 4];
@@ -16,47 +14,46 @@
 //! assert_eq!(parts, [1, 2, 3, 4]);
 //! ```
 //!
-//! # Help-while-wait (deadlock freedom under nesting)
+//! # Help-while-wait
 //!
-//! Jobs may themselves open scopes (a serve worker or a robustness-sweep
-//! cell runs pooled GEMM sweeps inside its job). A naive pool would
-//! deadlock once every worker blocks in a nested join. Here a
-//! thread waiting on its scope *helps*: it pops queued tasks (newest first,
-//! so nested sub-jobs run before unrelated top-level work) and executes
-//! them inline until its own jobs finish. Any blocked thread therefore
-//! either finds runnable work or its dependencies are already running on
-//! another thread — progress is guaranteed with any worker count, including
-//! zero.
+//! A scope may spawn more jobs than the pool has workers: a serving session
+//! spawns one job per serve worker, and on a 2-vCPU host the pool has one
+//! worker, so without help the second serve worker would sit queued until
+//! the first one exits. A thread waiting on its scope therefore *helps*: it
+//! pops queued tasks (newest first, so nested sub-jobs run before unrelated
+//! top-level work) and executes them inline until its own jobs finish.
+//! Every job thus runs on a worker or on its joining thread, so progress is
+//! guaranteed with any worker count, and a job that opens a scope of its
+//! own cannot deadlock the pool. No GEMM opens a scope: every kernel in
+//! this crate runs on its calling thread.
 //!
 //! # Determinism
 //!
 //! The pool never influences numerical results: tasks write disjoint
-//! outputs, and every GEMM partition accumulates each output element in the
-//! same k-order regardless of how tasks land on threads (see
-//! the GEMM partitioners in `matmul`). Which thread runs a task is the *only*
-//! nondeterminism, and it is unobservable in the outputs — the property the
-//! CI determinism job pins bit-for-bit across `ONN_THREADS`.
+//! outputs, and each task's arithmetic does not depend on which thread runs
+//! it. Which thread runs a task is the *only* nondeterminism, and it is
+//! unobservable in the outputs — the property the CI determinism job pins
+//! bit-for-bit across `ONN_THREADS`.
 //!
 //! # Thread-count configuration
 //!
 //! The auto thread count honours the `ONN_THREADS` environment variable
 //! (read once), falling back to [`std::thread::available_parallelism`]
-//! capped at 8, and bounds both partition granularity and the pool size.
-//! `0`, empty and unset mean "auto"; any other non-integer value panics at
-//! first use, so a typo'd override can never silently run at auto count.
-//! With `ONN_THREADS=1` every *auto-threaded* path degrades to the calling
-//! thread (code that pins an explicit count via `set_gemm_threads` — some
-//! tests and benches — still runs pooled). CI runs the suite under
-//! `ONN_THREADS=1` and default; any output divergence is a determinism
-//! regression.
+//! capped at 8, and sizes the pool; the serving runtime's default worker
+//! count reads it too (`crate::gemm_thread_count`). `0`, empty and unset
+//! mean "auto"; any other non-integer value panics at first use, so a
+//! typo'd override can never silently run at auto count. CI runs the suite
+//! under `ONN_THREADS=1`, `8` and default; any output divergence is a
+//! determinism regression.
 //!
 //! # Telemetry
 //!
 //! With `ONN_TELEMETRY` on, the pool reports volatile counters (jobs
 //! spawned, worker vs. helper task runs, worker busy/idle nanoseconds)
 //! and a queue-depth histogram. All of them are scheduling-dependent by
-//! nature — a GEMM spawns nothing at one thread — so they render only in
-//! the snapshot's timing section, never in the deterministic diff.
+//! nature — the serving runtime's job count follows `ONN_THREADS` — so
+//! they render only in the snapshot's timing section, never in the
+//! deterministic diff.
 
 use adept_telemetry::sync::{lock_recover, wait_recover, wait_timeout_recover};
 use adept_telemetry::{Counter, Histogram};
@@ -137,12 +134,10 @@ fn run_task(task: Task, state: &JobState) {
 }
 
 /// Number of persistent workers: one less than the configured parallelism
-/// (the scope owner always helps), at least one so pinned thread-count
-/// tests exercise real cross-thread execution everywhere. `ONN_THREADS`
-/// bounds the pool itself, not just chunk counts, so `ONN_THREADS=2` on a
-/// shared box keeps roughly two threads busy no matter how many jobs a
-/// caller fans out. (Runtime `set_gemm_threads` overrides affect only
-/// partition granularity — the pool is sized once at first use.)
+/// (the scope owner always helps), at least one so scoped jobs always run
+/// across threads. `ONN_THREADS` bounds the pool itself, so
+/// `ONN_THREADS=2` on a shared box keeps roughly two threads busy no
+/// matter how many jobs a caller fans out.
 fn worker_count() -> usize {
     auto_threads().saturating_sub(1).max(1)
 }
@@ -273,14 +268,17 @@ pub fn env_serve_deadline_ms() -> Option<usize> {
 }
 
 /// The auto thread count: `ONN_THREADS` if set, else the machine's
-/// parallelism capped at 8. The single source both the GEMM partitioners
-/// and the pool size derive from, so partition granularity and worker
-/// count can't silently diverge.
+/// parallelism capped at 8. The pool size and the serving runtime's
+/// default worker count both derive from it. Resolved once, so the two
+/// always agree (the pool is sized at first use).
 pub(crate) fn auto_threads() -> usize {
-    env_threads().unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|p| p.get().min(8))
-            .unwrap_or(1)
+    static AUTO: OnceLock<usize> = OnceLock::new();
+    *AUTO.get_or_init(|| {
+        env_threads().unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|p| p.get().min(8))
+                .unwrap_or(1)
+        })
     })
 }
 

@@ -28,7 +28,7 @@
 //!   backward passes hand out storage-sharing windows.
 //! * [`linalg`]'s `CMatrix` keeps its real/imaginary planes in one planar
 //!   allocation, so plane extraction onto the tape is free and complex
-//!   GEMMs reuse the threaded real kernel.
+//!   GEMMs reuse the real kernel.
 //! * [`nn`]'s `PtcWeight` (and [`adept`]'s search-time `SuperPtcWeight`)
 //!   build all tile products as two batched GEMM sweeps plus one strided
 //!   assembly node — the training and stage-2 search inner loops perform

@@ -2,8 +2,7 @@
 //!
 //! `adept_nn::save_backend` / `load_backend` promise that a design frozen
 //! to disk reproduces the saving process **bit for bit**: tape forwards,
-//! compiled `ExecPlan` outputs (clean and faulted), at any GEMM thread
-//! count. Each round trip here goes through the real text file — write,
+//! compiled `ExecPlan` outputs (clean and faulted). Each round trip here goes through the real text file — write,
 //! reread, reparse — so everything the in-memory structs carry has to
 //! survive serialization. Rejection paths (corruption, truncation, version
 //! bumps, architecture mismatch) are pinned to actionable errors rather
@@ -21,17 +20,13 @@ use adept_nn::{
     ParamStore,
 };
 use adept_photonics::{DeviceSpec, FaultKind, FaultScenario, Pdk};
-use adept_tensor::{set_gemm_threads, Tensor};
+use adept_tensor::Tensor;
 use std::path::PathBuf;
-use std::sync::Mutex;
 
 /// Unique scratch path per test (no tempfile crate in this environment).
 fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("adept-ckpt-{}-{tag}.ckpt", std::process::id()))
 }
-
-/// Tests mutate the global GEMM thread override; serialize them.
-static THREAD_OVERRIDE: Mutex<()> = Mutex::new(());
 
 fn synth_input(elems: usize) -> Vec<f64> {
     (0..elems)
@@ -90,7 +85,7 @@ fn trained(
 
 /// Saves `ckpt` to disk, reloads it, and asserts the reloaded design
 /// reproduces the original's tape forward and compiled-plan outputs
-/// bit-for-bit at 1 and 8 GEMM threads.
+/// bit-for-bit.
 fn assert_round_trip(tag: &str, model: &mut Sequential, store: &ParamStore, ckpt: &Checkpoint) {
     let path = scratch(tag);
     save_backend(&path, ckpt).unwrap();
@@ -107,52 +102,46 @@ fn assert_round_trip(tag: &str, model: &mut Sequential, store: &ParamStore, ckpt
     let mut tape_shape = vec![n];
     tape_shape.extend_from_slice(&shape);
 
-    let _guard = adept_telemetry::sync::lock_recover(&THREAD_OVERRIDE);
-    for threads in [1usize, 8] {
-        set_gemm_threads(threads);
-        let want = tape_forward(
-            model,
-            store,
-            Tensor::from_vec(input.clone(), &tape_shape),
-            ckpt.noise_seed,
+    let want = tape_forward(
+        model,
+        store,
+        Tensor::from_vec(input.clone(), &tape_shape),
+        ckpt.noise_seed,
+    );
+    let got = tape_forward(
+        &mut re_model,
+        &re_store,
+        Tensor::from_vec(input.clone(), &tape_shape),
+        ckpt.noise_seed,
+    );
+    for (i, (&w, &g)) in want.as_slice().iter().zip(got.as_slice()).enumerate() {
+        assert!(
+            w.to_bits() == g.to_bits(),
+            "{tag} tape elem {i}: {w:?} vs {g:?}"
         );
-        let got = tape_forward(
-            &mut re_model,
-            &re_store,
-            Tensor::from_vec(input.clone(), &tape_shape),
-            ckpt.noise_seed,
-        );
-        for (i, (&w, &g)) in want.as_slice().iter().zip(got.as_slice()).enumerate() {
-            assert!(
-                w.to_bits() == g.to_bits(),
-                "{tag} threads={threads} tape elem {i}: {w:?} vs {g:?}"
-            );
-        }
-
-        let mut plan =
-            ExecPlan::compile(model, store, &shape, n, ckpt.noise_seed, PlanPrecision::F64)
-                .unwrap();
-        let mut re_plan = ExecPlan::compile(
-            &re_model,
-            &re_store,
-            &shape,
-            n,
-            ckpt.noise_seed,
-            PlanPrecision::F64,
-        )
-        .unwrap();
-        let mut want = vec![0.0; n * plan.output_features()];
-        let mut got = vec![0.0; n * re_plan.output_features()];
-        plan.run_batch(&input, n, &mut want);
-        re_plan.run_batch(&input, n, &mut got);
-        for (i, (&w, &g)) in want.iter().zip(&got).enumerate() {
-            assert!(
-                w.to_bits() == g.to_bits(),
-                "{tag} threads={threads} plan elem {i}: {w:?} vs {g:?}"
-            );
-        }
     }
-    set_gemm_threads(0);
+
+    let mut plan =
+        ExecPlan::compile(model, store, &shape, n, ckpt.noise_seed, PlanPrecision::F64).unwrap();
+    let mut re_plan = ExecPlan::compile(
+        &re_model,
+        &re_store,
+        &shape,
+        n,
+        ckpt.noise_seed,
+        PlanPrecision::F64,
+    )
+    .unwrap();
+    let mut want = vec![0.0; n * plan.output_features()];
+    let mut got = vec![0.0; n * re_plan.output_features()];
+    plan.run_batch(&input, n, &mut want);
+    re_plan.run_batch(&input, n, &mut got);
+    for (i, (&w, &g)) in want.iter().zip(&got).enumerate() {
+        assert!(
+            w.to_bits() == g.to_bits(),
+            "{tag} plan elem {i}: {w:?} vs {g:?}"
+        );
+    }
 }
 
 #[test]
@@ -210,38 +199,33 @@ fn faulted_plan_compiles_from_checkpoint_bit_identical() {
     let n = 4;
     let input = synth_input(n * elems);
 
-    let _guard = adept_telemetry::sync::lock_recover(&THREAD_OVERRIDE);
-    for threads in [1usize, 8] {
-        set_gemm_threads(threads);
-        let mut direct = ExecPlan::compile_faulted(
-            &model,
-            &store,
-            &shape,
-            n,
-            ckpt.noise_seed,
-            Some(std::sync::Arc::new(fault.clone())),
-            PlanPrecision::F64,
-        )
-        .unwrap();
-        let (mut from_file, reloaded) =
-            ExecPlan::compile_from_checkpoint(&path, n, PlanPrecision::F64).unwrap();
-        assert_eq!(
-            reloaded.fault.as_ref().map(FaultScenario::fingerprint),
-            Some(fault.fingerprint()),
-            "fault scenario must survive the file"
+    let mut direct = ExecPlan::compile_faulted(
+        &model,
+        &store,
+        &shape,
+        n,
+        ckpt.noise_seed,
+        Some(std::sync::Arc::new(fault.clone())),
+        PlanPrecision::F64,
+    )
+    .unwrap();
+    let (mut from_file, reloaded) =
+        ExecPlan::compile_from_checkpoint(&path, n, PlanPrecision::F64).unwrap();
+    assert_eq!(
+        reloaded.fault.as_ref().map(FaultScenario::fingerprint),
+        Some(fault.fingerprint()),
+        "fault scenario must survive the file"
+    );
+    let mut want = vec![0.0; n * direct.output_features()];
+    let mut got = vec![0.0; n * from_file.output_features()];
+    direct.run_batch(&input, n, &mut want);
+    from_file.run_batch(&input, n, &mut got);
+    for (i, (&w, &g)) in want.iter().zip(&got).enumerate() {
+        assert!(
+            w.to_bits() == g.to_bits(),
+            "faulted elem {i}: {w:?} vs {g:?}"
         );
-        let mut want = vec![0.0; n * direct.output_features()];
-        let mut got = vec![0.0; n * from_file.output_features()];
-        direct.run_batch(&input, n, &mut want);
-        from_file.run_batch(&input, n, &mut got);
-        for (i, (&w, &g)) in want.iter().zip(&got).enumerate() {
-            assert!(
-                w.to_bits() == g.to_bits(),
-                "threads={threads} faulted elem {i}: {w:?} vs {g:?}"
-            );
-        }
     }
-    set_gemm_threads(0);
     std::fs::remove_file(&path).ok();
 }
 

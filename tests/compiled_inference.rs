@@ -6,8 +6,8 @@
 //! and its warm path performs **zero heap allocations and zero tape
 //! nodes**. Both are pinned here — parity across dense MZI, butterfly,
 //! frozen-`SearchOutcome`, ragged (non-multiple-of-K) and strided
-//! electronic-conv models at 1 and 8 GEMM threads, allocations at the
-//! served shape by the same counting global allocator as
+//! electronic-conv models, allocations at the served shape and at a large
+//! linear GEMM by the same counting global allocator as
 //! `tests/zero_copy.rs` (zero bytes implies zero `Graph`/`Var` nodes: a
 //! node allocates).
 //!
@@ -25,17 +25,16 @@ use adept_nn::models::{proxy_cnn, Backend, InputShape};
 use adept_nn::onn::OnnLinear;
 use adept_nn::{prebuild_mesh_weights, ForwardCtx, ParamStore};
 use adept_photonics::{BlockMeshTopology, Pdk};
-use adept_tensor::{set_gemm_threads, Conv2dGeometry, Tensor};
+use adept_tensor::{Conv2dGeometry, Tensor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Mutex;
 
 struct CountingAlloc;
 
 thread_local! {
-    // Per-thread accounting so GEMM worker threads and the parallel test
-    // harness can't attribute their allocations to a measurement running
-    // on another thread (same harness as tests/zero_copy.rs).
+    // Per-thread accounting so the parallel test harness can't attribute
+    // its allocations to a measurement running on another thread (same
+    // harness as tests/zero_copy.rs).
     static LOCAL_BYTES: Cell<usize> = const { Cell::new(0) };
 }
 
@@ -60,9 +59,6 @@ fn bytes_allocated<R>(f: impl FnOnce() -> R) -> (usize, R) {
     (LOCAL_BYTES.with(Cell::get) - before, out)
 }
 
-/// Tests mutate the global GEMM thread override; serialize them.
-static THREAD_OVERRIDE: Mutex<()> = Mutex::new(());
-
 /// Deterministic pseudo-input covering positive and negative values.
 fn synth_input(elems: usize) -> Vec<f64> {
     (0..elems)
@@ -80,8 +76,8 @@ fn tape_forward(model: &mut dyn Layer, store: &ParamStore, x: Tensor, seed: u64)
     model.forward(&ctx, x).value()
 }
 
-/// Asserts plan-vs-tape parity for `model` over a 3-sample batch at 1 and
-/// 8 GEMM threads. `bitwise` demands exact equality; otherwise ≤ 1e-12
+/// Asserts plan-vs-tape parity for `model` over a 3-sample batch.
+/// `bitwise` demands exact equality; otherwise ≤ 1e-12
 /// (the noisy-model bound from the issue — in practice still exact, since
 /// the plan freezes the tape's own weight bits).
 fn assert_parity(
@@ -96,46 +92,38 @@ fn assert_parity(
     let input = synth_input(n * elems);
     let mut tape_shape = vec![n];
     tape_shape.extend_from_slice(sample_shape);
-    let _guard = THREAD_OVERRIDE.lock().unwrap();
-    for threads in [1usize, 8] {
-        set_gemm_threads(threads);
-        let expected = tape_forward(
-            model,
-            store,
-            Tensor::from_vec(input.clone(), &tape_shape),
-            seed,
-        );
-        let mut plan =
-            ExecPlan::compile(model, store, sample_shape, n, seed, PlanPrecision::F64).unwrap();
-        let mut got = vec![0.0; n * plan.output_features()];
-        plan.run_batch(&input, n, &mut got);
-        assert_eq!(expected.as_slice().len(), got.len());
-        for (i, (&e, &g)) in expected.as_slice().iter().zip(&got).enumerate() {
-            if bitwise {
-                assert!(
-                    e.to_bits() == g.to_bits(),
-                    "threads={threads} elem {i}: tape {e:?} vs plan {g:?}"
-                );
-            } else {
-                assert!(
-                    (e - g).abs() <= 1e-12,
-                    "threads={threads} elem {i}: tape {e:?} vs plan {g:?}"
-                );
-            }
-        }
-        // Single-sample runs must reproduce the batched bits exactly —
-        // this is what lets the serving runtime coalesce freely.
-        let mut single = vec![0.0; plan.output_features()];
-        for s in 0..n {
-            plan.run_batch(&input[s * elems..(s + 1) * elems], 1, &mut single);
-            assert_eq!(
-                &got[s * plan.output_features()..(s + 1) * plan.output_features()],
-                &single[..],
-                "sample {s} differs between batched and single-sample runs"
+    let expected = tape_forward(
+        model,
+        store,
+        Tensor::from_vec(input.clone(), &tape_shape),
+        seed,
+    );
+    let mut plan =
+        ExecPlan::compile(model, store, sample_shape, n, seed, PlanPrecision::F64).unwrap();
+    let mut got = vec![0.0; n * plan.output_features()];
+    plan.run_batch(&input, n, &mut got);
+    assert_eq!(expected.as_slice().len(), got.len());
+    for (i, (&e, &g)) in expected.as_slice().iter().zip(&got).enumerate() {
+        if bitwise {
+            assert!(
+                e.to_bits() == g.to_bits(),
+                "elem {i}: tape {e:?} vs plan {g:?}"
             );
+        } else {
+            assert!((e - g).abs() <= 1e-12, "elem {i}: tape {e:?} vs plan {g:?}");
         }
     }
-    set_gemm_threads(0);
+    // Single-sample runs must reproduce the batched bits exactly —
+    // this is what lets the serving runtime coalesce freely.
+    let mut single = vec![0.0; plan.output_features()];
+    for s in 0..n {
+        plan.run_batch(&input[s * elems..(s + 1) * elems], 1, &mut single);
+        assert_eq!(
+            &got[s * plan.output_features()..(s + 1) * plan.output_features()],
+            &single[..],
+            "sample {s} differs between batched and single-sample runs"
+        );
+    }
 }
 
 #[test]
@@ -237,14 +225,13 @@ fn frozen_search_outcome_matches_tape() {
 
 #[test]
 fn warm_path_allocates_nothing() {
-    let _guard = THREAD_OVERRIDE.lock().unwrap();
-    // The served shape (quickstart proxy CNN, batch 16) with a 2-thread
-    // GEMM pool: the plan's convs run on the calling thread and its small
-    // linear GEMM stays below the parallel threshold, so nothing spawns a
-    // pool job (whose boxed closure would allocate).
-    set_gemm_threads(2);
+    // Two plans at batch 16: the served shape (quickstart proxy CNN, whose
+    // convs and 16×72×10 linear GEMM are small) and one 512→512 linear
+    // step, a 16×512×512 GEMM of 8.4 MFLOP. Every step runs on the calling
+    // thread at any size, so neither spawns a pool job (whose boxed
+    // closure would allocate).
     let mut store = ParamStore::new();
-    let model = proxy_cnn(
+    let cnn = proxy_cnn(
         &mut store,
         InputShape::new(1, 12, 12),
         8,
@@ -252,11 +239,9 @@ fn warm_path_allocates_nothing() {
         &Backend::butterfly(8),
         1,
     );
-    let n = 16;
-    let mut plan =
-        ExecPlan::compile(&model, &store, &[1, 12, 12], n, 0, PlanPrecision::F64).unwrap();
-    let input = synth_input(n * plan.input_elems());
-    let mut out = vec![0.0; n * plan.output_features()];
+    let mut wide = Sequential::new();
+    wide.push(Flatten);
+    wide.push(Linear::new(&mut store, "wide", 512, 512, 2));
     // The plan's step loop opens a telemetry span per step; this pin only
     // holds on the disabled path, so the contract is two-sided: telemetry
     // must actually be off, and off must cost zero bytes.
@@ -264,15 +249,24 @@ fn warm_path_allocates_nothing() {
         !adept_telemetry::enabled(),
         "test harness must run with ONN_TELEMETRY unset"
     );
-    // Warm twice, then measure.
-    plan.run_batch(&input, n, &mut out);
-    plan.run_batch(&input, n, &mut out);
-    let (bytes, ()) = bytes_allocated(|| plan.run_batch(&input, n, &mut out));
-    set_gemm_threads(0);
-    assert_eq!(
-        bytes, 0,
-        "compiled warm path allocated {bytes} bytes (must be allocation-free)"
-    );
+    let n = 16;
+    for (name, model, sample_shape) in [
+        ("proxy CNN", &cnn, &[1usize, 12, 12][..]),
+        ("512x512 linear", &wide, &[512][..]),
+    ] {
+        let mut plan =
+            ExecPlan::compile(model, &store, sample_shape, n, 0, PlanPrecision::F64).unwrap();
+        let input = synth_input(n * plan.input_elems());
+        let mut out = vec![0.0; n * plan.output_features()];
+        // Warm twice, then measure.
+        plan.run_batch(&input, n, &mut out);
+        plan.run_batch(&input, n, &mut out);
+        let (bytes, ()) = bytes_allocated(|| plan.run_batch(&input, n, &mut out));
+        assert_eq!(
+            bytes, 0,
+            "{name}: compiled warm path allocated {bytes} bytes (must be allocation-free)"
+        );
+    }
 }
 
 /// Disabled telemetry primitives, measured directly: counter bumps,

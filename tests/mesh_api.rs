@@ -6,7 +6,7 @@
 //!   records fixed-topology `PtcWeight`s and frame-bound SuperMesh weights
 //!   — even **mixed in one batch** — with node counts, values,
 //!   noise-stream draws and per-parameter gradients bit-identical to the
-//!   non-prebuilt walk, at GEMM thread counts {1, 8};
+//!   non-prebuilt walk;
 //! * the unified batched builder on `butterfly_topology(k)` matches the
 //!   non-differentiable `BlockMeshTopology::unitary()` reference on the
 //!   same phases to 1e-12, per tile;
@@ -20,18 +20,9 @@ use adept_nn::onn::{batched_tile_unitary, PtcWeight};
 use adept_nn::{build_mesh_weight, prebuild_mesh_weights, ForwardCtx, MeshWeight, ParamStore};
 use adept_photonics::butterfly::butterfly_topology;
 use adept_photonics::BlockMeshTopology;
-use adept_tensor::{set_gemm_threads, Tensor};
+use adept_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Mutex;
-
-/// Thread-count overrides are process-global; tests that flip them must
-/// not interleave with each other.
-static THREAD_OVERRIDE: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    adept_telemetry::sync::lock_recover(&THREAD_OVERRIDE)
-}
 
 /// The batched `[T, B, K]` walk over a butterfly topology must agree with
 /// the photonics crate's complex transfer-matrix product for every tile.
@@ -114,11 +105,9 @@ fn unified_builder_matches_complex_reference_product() {
 /// One step over a **mixed** batch — two fixed-topology `PtcWeight`s (one
 /// noisy, one ragged) plus a frame-bound SuperMesh weight — through the
 /// single engine. Node count, values, noise draws and per-parameter
-/// gradients must be bit-identical to the non-prebuilt walk, at GEMM
-/// thread counts {1, 8}.
+/// gradients must be bit-identical to the non-prebuilt walk.
 #[test]
-fn mixed_batch_is_bit_identical_across_thread_counts() {
-    let _guard = lock();
+fn mixed_batch_prebuild_matches_unprebuilt_walk_bitwise() {
     let mut store = ParamStore::new();
     let butterfly = butterfly_topology(4);
     let mut rng = StdRng::seed_from_u64(23);
@@ -130,8 +119,7 @@ fn mixed_batch_is_bit_identical_across_thread_counts() {
     let ws = SuperPtcWeight::new(&mut store, "ws", 7, 6, 4, 2, 34);
 
     type Grads = Vec<(String, Tensor)>;
-    let run = |threads: usize, prebuild: bool| -> (usize, Vec<f64>, Grads) {
-        set_gemm_threads(threads);
+    let run = |prebuild: bool| -> (usize, Vec<f64>, Grads) {
         let graph = Graph::new();
         let ctx = ForwardCtx::new(&graph, &store, true, 9);
         let fu = build_mesh_frame(&ctx, &handles.u, 4, &[[0.2, -0.1]; 2], 0.9);
@@ -164,24 +152,21 @@ fn mixed_batch_is_bit_identical_across_thread_counts() {
             .map(|(id, g)| (store.name(id).to_string(), g))
             .collect();
         per_param.sort_by(|a, b| a.0.cmp(&b.0));
-        set_gemm_threads(0);
         (graph.len(), values, per_param)
     };
 
-    let (len_serial, val_serial, grad_serial) = run(1, false);
-    for threads in [1usize, 8] {
-        let (len_p, val_p, grad_p) = run(threads, true);
-        assert_eq!(len_serial, len_p, "tape length ({threads} threads)");
-        assert_eq!(val_serial, val_p, "values ({threads} threads)");
-        assert_eq!(grad_serial.len(), grad_p.len());
-        for ((name, a), (name2, b)) in grad_serial.iter().zip(&grad_p) {
-            assert_eq!(name, name2);
-            assert_eq!(
-                a.as_slice(),
-                b.as_slice(),
-                "gradient of {name} must be bit-identical ({threads} threads)"
-            );
-        }
+    let (len_walk, val_walk, grad_walk) = run(false);
+    let (len_pre, val_pre, grad_pre) = run(true);
+    assert_eq!(len_walk, len_pre, "tape length");
+    assert_eq!(val_walk, val_pre, "values");
+    assert_eq!(grad_walk.len(), grad_pre.len());
+    for ((name, a), (name2, b)) in grad_walk.iter().zip(&grad_pre) {
+        assert_eq!(name, name2);
+        assert_eq!(
+            a.as_slice(),
+            b.as_slice(),
+            "gradient of {name} must be bit-identical"
+        );
     }
 }
 

@@ -1,30 +1,29 @@
 //! Pins for the dual-precision substrate: the f64 plan's bits are frozen
 //! against the pre-refactor baseline, f32 plans track f64 within the
-//! documented quantization tolerance, the register-blocked GEMM
-//! microkernel is bit-identical to the scalar reference kernel on every
-//! shape class (ragged remainders, MR/NR tails, accumulate, alpha) in
-//! both dtypes, and the plans' direct conv kernel is bit-identical to the
-//! im2col + GEMM arithmetic it replaced, on every lane variant.
+//! documented quantization tolerance, the GEMM kernel is bit-identical to
+//! a naive ascending-k, zero-skip loop on every shape class (ragged
+//! shapes, k = 0, accumulate, alpha) in both dtypes, and the plans' direct
+//! conv kernel is bit-identical to the im2col + GEMM arithmetic it
+//! replaced, on every lane variant.
 //!
-//! The bit pin is the refactor's acceptance test: the packed microkernel
-//! and the `Element` genericization must not move a single f64 output
-//! bit. `EXPECTED_LOGITS_FNV` was captured on the quickstart-scale CNN
-//! *before* the microkernel landed and must hold at any thread count.
+//! The bit pin is the dtype refactor's acceptance test: the `Element`
+//! genericization, and every GEMM kernel change since, must not move a
+//! single f64 output bit. `EXPECTED_LOGITS_FNV` was captured on the
+//! quickstart-scale CNN before the dtype axis landed, and CI checks it
+//! under every `ONN_THREADS` leg.
 
 use adept_bench::conv_im2col_gemm;
 use adept_infer::{ExecPlan, PlanPrecision};
 use adept_nn::models::{proxy_cnn, Backend, InputShape};
 use adept_nn::ParamStore;
 use adept_tensor::{
-    gemm_micro_into, gemm_scalar_ref_into, set_gemm_threads, Conv2dGeometry, ConvLanes, DirectConv,
-    Element,
+    batched_matmul_ragged_into, Conv2dGeometry, ConvLanes, DirectConv, Element, GemmSpec, Tile,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Mutex;
 
 struct CountingAlloc;
 
@@ -53,9 +52,6 @@ fn bytes_allocated<R>(f: impl FnOnce() -> R) -> (usize, R) {
     let out = f();
     (LOCAL_BYTES.with(Cell::get) - before, out)
 }
-
-/// Tests mutate the global GEMM thread override; serialize them.
-static THREAD_OVERRIDE: Mutex<()> = Mutex::new(());
 
 /// FNV-1a over the logits' bit patterns: any single-bit drift changes it.
 fn fnv1a_bits(xs: &[f64]) -> u64 {
@@ -102,22 +98,17 @@ fn quickstart_logits(precision: PlanPrecision) -> Vec<f64> {
 }
 
 /// The f64 plan's logits bits on the quickstart CNN, captured at commit
-/// 85a66c0 (pre-microkernel, pre-`Element`). The dual-precision refactor
-/// must reproduce these bits exactly at every thread count.
+/// 85a66c0 (pre-`Element`). Every later kernel must reproduce these bits
+/// exactly.
 const EXPECTED_LOGITS_FNV: u64 = 0xb86a196a5d91e14a;
 
 #[test]
 fn f64_plan_bits_pinned_to_pre_refactor_baseline() {
-    let _guard = THREAD_OVERRIDE.lock().unwrap();
-    for threads in [1usize, 8] {
-        set_gemm_threads(threads);
-        let got = fnv1a_bits(&quickstart_logits(PlanPrecision::F64));
-        assert_eq!(
-            got, EXPECTED_LOGITS_FNV,
-            "f64 plan logits drifted at {threads} threads: fnv {got:#018x}"
-        );
-    }
-    set_gemm_threads(0);
+    let got = fnv1a_bits(&quickstart_logits(PlanPrecision::F64));
+    assert_eq!(
+        got, EXPECTED_LOGITS_FNV,
+        "f64 plan logits drifted: fnv {got:#018x}"
+    );
 }
 
 /// Documented f32 quantization tolerance: weights round once at freeze,
@@ -130,11 +121,8 @@ fn f32_close(e: f64, g: f64) -> bool {
 
 #[test]
 fn f32_plan_matches_f64_within_tolerance_and_argmax() {
-    let _guard = THREAD_OVERRIDE.lock().unwrap();
-    set_gemm_threads(1);
     let want = quickstart_logits(PlanPrecision::F64);
     let got = quickstart_logits(PlanPrecision::F32);
-    set_gemm_threads(0);
     assert_eq!(want.len(), got.len());
     for (i, (&e, &g)) in want.iter().zip(&got).enumerate() {
         assert!(
@@ -163,20 +151,17 @@ fn f32_plan_matches_f64_within_tolerance_and_argmax() {
 
 #[test]
 fn f32_warm_path_allocates_nothing() {
-    let _guard = THREAD_OVERRIDE.lock().unwrap();
-    set_gemm_threads(1);
     let (store, model) = quickstart_model();
     let n = 3;
     let mut plan =
         ExecPlan::compile(&model, &store, &[1, 12, 12], n, 0, PlanPrecision::F32).unwrap();
     let input = synth_input(n * plan.input_elems());
     let mut out = vec![0.0; n * plan.output_features()];
-    // Warm twice (slab take/put + pack-scratch growth), then measure: the
-    // f64↔f32 conversions at the plan boundary must reuse the slabs.
+    // Warm twice (slab take/put), then measure: the f64↔f32 conversions
+    // at the plan boundary must reuse the slabs.
     plan.run_batch(&input, n, &mut out);
     plan.run_batch(&input, n, &mut out);
     let (bytes, ()) = bytes_allocated(|| plan.run_batch(&input, n, &mut out));
-    set_gemm_threads(0);
     assert_eq!(
         bytes, 0,
         "f32 compiled warm path allocated {bytes} bytes (must be allocation-free)"
@@ -205,9 +190,38 @@ fn plan_precision_env_parse_panics_on_junk() {
     PlanPrecision::parse("ONN_INFER_DTYPE", "half");
 }
 
-/// Asserts the packed microkernel agrees with the scalar reference kernel
-/// bit-for-bit on one `(m, k, n, alpha, accumulate)` case, in both dtypes.
-fn assert_micro_matches_scalar(m: usize, k: usize, n: usize, alpha: f64, accumulate: bool) {
+/// The GEMM contract, written out as a naive loop: every output element
+/// starts from `+0.0` (or from `c` when accumulating) and adds
+/// `(α·a[i, p])·b[p, j]` for ascending `p`, skipping `a[i, p] == 0`,
+/// multiplying then adding.
+fn naive_gemm<T: Element>(
+    a: &[T],
+    b: &[T],
+    c: &mut [T],
+    (m, k, n): (usize, usize, usize),
+    alpha: T,
+    accumulate: bool,
+) {
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = if accumulate { c[i * n + j] } else { T::ZERO };
+            for p in 0..k {
+                let raw = a[i * k + p];
+                if raw == T::ZERO {
+                    continue;
+                }
+                let aip = if alpha == T::ONE { raw } else { alpha * raw };
+                acc += aip * b[p * n + j];
+            }
+            c[i * n + j] = acc;
+        }
+    }
+}
+
+/// Asserts the GEMM kernel (through the ragged sweep, the entry point that
+/// takes `α` and `accumulate`) agrees with [`naive_gemm`] bit for bit on
+/// one `(m, k, n, alpha, accumulate)` case, in both dtypes.
+fn assert_gemm_matches_naive(m: usize, k: usize, n: usize, alpha: f64, accumulate: bool) {
     fn check<T: Element>(m: usize, k: usize, n: usize, alpha: T, accumulate: bool) {
         let mut rng = StdRng::seed_from_u64((m * 73 + k * 37 + n) as u64);
         let mut fill = |len: usize| -> Vec<T> {
@@ -227,12 +241,20 @@ fn assert_micro_matches_scalar(m: usize, k: usize, n: usize, alpha: f64, accumul
         let c0 = fill(m * n);
         let mut want = c0.clone();
         let mut got = c0;
-        gemm_scalar_ref_into(&a, &b, &mut want, m, k, n, alpha, accumulate);
-        gemm_micro_into(&a, &b, &mut got, m, k, n, alpha, accumulate);
+        naive_gemm(&a, &b, &mut want, (m, k, n), alpha, accumulate);
+        let job = GemmSpec::new(
+            Tile::contiguous(0, k),
+            Tile::contiguous(0, n),
+            Tile::contiguous(0, n),
+            m,
+            k,
+            n,
+        );
+        batched_matmul_ragged_into(&a, &b, &mut got, &[job], alpha, accumulate);
         for (i, (w, g)) in want.iter().zip(&got).enumerate() {
             assert!(
-                w == g,
-                "[{m}x{k}x{n} alpha={alpha} acc={accumulate} {}] elem {i}: scalar {w:?} vs micro {g:?}",
+                w.to_f64().to_bits() == g.to_f64().to_bits(),
+                "[{m}x{k}x{n} alpha={alpha} acc={accumulate} {}] elem {i}: naive {w:?} vs kernel {g:?}",
                 T::DTYPE_NAME
             );
         }
@@ -241,23 +263,27 @@ fn assert_micro_matches_scalar(m: usize, k: usize, n: usize, alpha: f64, accumul
     check::<f32>(m, k, n, f32::from_f64(alpha), accumulate);
 }
 
+// The two GEMM tests keep the names they had when they compared the
+// packed microkernel with the scalar kernel. The scalar kernel is now the
+// only one; both check it against the naive loop above.
+
 #[test]
 fn microkernel_edge_shapes_match_scalar_bitwise() {
-    // MR=4 / NR=8 / KC=256 tails and ragged remainders in every dimension,
-    // plus degenerate k=0 (pure C scaling / zeroing).
+    // Ragged shapes in every dimension, from 1×1×1 up to 7×300×515, plus
+    // degenerate k=0 (overwrite must zero, accumulate must leave C as is).
     for &(m, k, n) in &[
         (1usize, 1usize, 1usize),
-        (4, 8, 8),     // exact register tile
-        (5, 8, 9),     // one-row, one-column tails
-        (3, 7, 6),     // everything below tile size
+        (4, 8, 8),
+        (5, 8, 9),
+        (3, 7, 6),
         (16, 144, 32), // conv-lowered K
-        (13, 257, 17), // KC remainder + ragged m/n
-        (4, 0, 8),     // k=0: !ACC must zero, ACC must scale-only
-        (65, 33, 12),  // MC boundary + tails
-        (7, 300, 515), // NC boundary + ragged everything
+        (13, 257, 17),
+        (4, 0, 8), // k=0
+        (65, 33, 12),
+        (7, 300, 515),
     ] {
         for &(alpha, acc) in &[(1.0, false), (1.0, true), (0.5, false), (-2.0, true)] {
-            assert_micro_matches_scalar(m, k, n, alpha, acc);
+            assert_gemm_matches_naive(m, k, n, alpha, acc);
         }
     }
 }
@@ -359,7 +385,8 @@ proptest! {
         assert_direct_conv_matches_im2col_gemm::<f32>(geom, oc, n, relu_sel == 1, seed);
     }
 
-    /// Randomized shapes: micro == scalar bitwise, both dtypes.
+    /// Randomized shapes: the kernel equals the naive loop bitwise, both
+    /// dtypes.
     #[test]
     fn microkernel_matches_scalar_on_random_shapes(
         m in 1usize..34,
@@ -369,7 +396,7 @@ proptest! {
         acc_sel in 0usize..2,
     ) {
         let alpha = [1.0, 0.25, -1.5][alpha_sel];
-        assert_micro_matches_scalar(m, k, n, alpha, acc_sel == 1);
+        assert_gemm_matches_naive(m, k, n, alpha, acc_sel == 1);
     }
 
     /// Randomized inputs through both plan precisions: logits stay inside
@@ -378,8 +405,6 @@ proptest! {
     /// known to dominate the f32 error; random logits can tie.)
     #[test]
     fn f32_plan_tracks_f64_on_random_inputs(seed in 0u64..24) {
-        let _guard = adept_telemetry::sync::lock_recover(&THREAD_OVERRIDE);
-        set_gemm_threads(1);
         let mut store = ParamStore::new();
         let model = proxy_cnn(
             &mut store,
@@ -401,7 +426,6 @@ proptest! {
         let mut got = vec![0.0; f32_plan.output_features()];
         f64_plan.run_batch(&input, 1, &mut want);
         f32_plan.run_batch(&input, 1, &mut got);
-        set_gemm_threads(0);
         for (i, (&e, &g)) in want.iter().zip(&got).enumerate() {
             prop_assert!(
                 f32_close(e, g),

@@ -2,24 +2,22 @@
 //!
 //! `adept_telemetry`'s deterministic render promises that *stable*
 //! counters and span counts depend only on the workload, never on
-//! `ONN_THREADS`. This binary runs the same traced train → compile →
-//! serve workload at 1 and 8 GEMM threads in one process (telemetry
-//! enabled programmatically — the harness keeps `ONN_TELEMETRY` unset,
-//! so the env-driven path stays covered by the CI profile_step legs) and
-//! pins the renders byte-identical. It owns its process: tests here
-//! flip the global enable switch, so they must not share a binary with
-//! the zero-alloc pins.
+//! `ONN_THREADS`. This binary runs one traced train → compile → serve
+//! workload (telemetry enabled programmatically — the harness keeps
+//! `ONN_TELEMETRY` unset) and pins what that render must carry and what it
+//! must leave out. The byte diff of the render across `ONN_THREADS` is the
+//! CI determinism job's `profile_step` legs. This binary owns its process:
+//! tests here flip the global enable switch, so they must not share a
+//! binary with the zero-alloc pins.
 
 use adept_infer::{serve, ExecPlan, PlanPrecision, ServeConfig};
 use adept_nn::models::{proxy_cnn, Backend, InputShape};
 use adept_nn::train::{train_classifier, TrainConfig};
 use adept_nn::ParamStore;
-use adept_tensor::set_gemm_threads;
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// Tests mutate process-global state (telemetry registry, GEMM thread
-/// override); serialize them.
+/// Tests mutate the process-global telemetry registry; serialize them.
 static GLOBALS: Mutex<()> = Mutex::new(());
 
 /// One traced pass: a 2-step training run, a compiled plan, and a pinned
@@ -55,24 +53,15 @@ fn traced_workload() {
 }
 
 #[test]
-fn stable_counts_are_identical_across_gemm_thread_counts() {
+fn deterministic_render_carries_cross_layer_instruments() {
     let _guard = GLOBALS.lock().unwrap();
     adept_telemetry::set_enabled(true);
-    let mut renders = Vec::new();
-    for threads in [1usize, 8] {
-        set_gemm_threads(threads);
-        adept_telemetry::reset();
-        traced_workload();
-        renders.push(adept_telemetry::snapshot().render_deterministic());
-    }
-    set_gemm_threads(0);
+    adept_telemetry::reset();
+    traced_workload();
+    let render = adept_telemetry::snapshot().render_deterministic();
     adept_telemetry::set_enabled(false);
-    assert_eq!(
-        renders[0], renders[1],
-        "stable counters/span counts diverged between 1 and 8 GEMM threads"
-    );
     // The render must actually contain the cross-layer instruments — an
-    // empty render would also "match".
+    // empty render would also match across thread counts.
     for needle in [
         "counter train.steps = 2",
         "counter backward.runs = 2",
@@ -84,9 +73,8 @@ fn stable_counts_are_identical_across_gemm_thread_counts() {
         "span plan/conv",
     ] {
         assert!(
-            renders[0].contains(needle),
-            "deterministic render lost {needle:?}:\n{}",
-            renders[0]
+            render.contains(needle),
+            "deterministic render lost {needle:?}:\n{render}"
         );
     }
 }
@@ -95,11 +83,9 @@ fn stable_counts_are_identical_across_gemm_thread_counts() {
 fn volatile_instruments_stay_out_of_the_deterministic_render() {
     let _guard = GLOBALS.lock().unwrap();
     adept_telemetry::set_enabled(true);
-    set_gemm_threads(8);
     adept_telemetry::reset();
     traced_workload();
     let snap = adept_telemetry::snapshot();
-    set_gemm_threads(0);
     adept_telemetry::set_enabled(false);
     let det = snap.render_deterministic();
     // Pool scheduling and batch coalescing are timing-dependent; the
@@ -110,10 +96,11 @@ fn volatile_instruments_stay_out_of_the_deterministic_render() {
             "volatile instrument {banned:?} leaked into the deterministic render:\n{det}"
         );
     }
-    // But the full timing render does see the pool working at 8 threads.
+    // But the full timing render does see the pool working: the serve
+    // session's worker runs as a pool job.
     let timing = snap.render_timing();
     assert!(
         timing.contains("pool.jobs_spawned"),
-        "8-thread workload should have spawned pool jobs:\n{timing}"
+        "the serve session should have spawned a pool job:\n{timing}"
     );
 }

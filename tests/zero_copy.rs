@@ -13,10 +13,10 @@ use std::cell::Cell;
 struct CountingAlloc;
 
 thread_local! {
-    // Per-thread accounting so the parallel test harness (and any GEMM
-    // worker threads) can't attribute their allocations to a measurement
-    // running on another thread. `const`-initialized Cell has no lazy init
-    // and no destructor, so it is safe to touch from inside the allocator.
+    // Per-thread accounting so the parallel test harness can't attribute
+    // its allocations to a measurement running on another thread.
+    // `const`-initialized Cell has no lazy init and no destructor, so it is
+    // safe to touch from inside the allocator.
     static LOCAL_BYTES: Cell<usize> = const { Cell::new(0) };
 }
 
@@ -98,24 +98,19 @@ fn batched_tile_multiply_allocates_nothing_beyond_outputs() {
     let b_tiles: Vec<Tile> = (0..64).map(|t| Tile::contiguous(t * k * k, k)).collect();
     let c_tiles = b_tiles.clone();
     let out_slice = out.as_mut_slice();
-    adept_tensor::set_gemm_threads(1);
     let (b, ()) = bytes_allocated(|| {
-        // SAFETY: c tiles are the disjoint per-batch slabs of `out`.
-        unsafe {
-            batched_matmul_into(
-                w.as_slice(),
-                &a_tiles,
-                rhs.as_slice(),
-                &b_tiles,
-                out_slice,
-                &c_tiles,
-                k,
-                k,
-                k,
-            );
-        }
+        batched_matmul_into(
+            w.as_slice(),
+            &a_tiles,
+            rhs.as_slice(),
+            &b_tiles,
+            out_slice,
+            &c_tiles,
+            k,
+            k,
+            k,
+        );
     });
-    adept_tensor::set_gemm_threads(0);
     assert!(
         b < k * k * 8,
         "batched tile sweep allocated {b} bytes (≥ one tile buffer)"
@@ -172,12 +167,10 @@ fn batched_unitary_build_allocates_far_less_than_per_tile() {
     let w = PtcWeight::new(&mut store, "w", 64, 64, topo.clone(), topo, 1);
     let graph = adept_autodiff::Graph::new();
     let ctx = ForwardCtx::new(&graph, &store, false, 0);
-    adept_tensor::set_gemm_threads(1);
     let _ = w.build(&ctx); // warm up parameter leaves
     let (batched_bytes, built) = bytes_allocated(|| w.build(&ctx));
     assert_eq!(built.shape(), vec![64, 64]);
     let (per_tile_bytes, _) = bytes_allocated(|| w.build_per_tile(&ctx));
-    adept_tensor::set_gemm_threads(0);
     let buffer_bytes = 64 * 64 * 8;
     assert!(
         batched_bytes < 80 * buffer_bytes,
@@ -205,9 +198,7 @@ fn batched_unitary_backward_writes_only_gradient_buffers() {
     // Ragged output: edge tiles cropped to 30×29.
     let prod = batched_tile_product_grid(vars[0], vars[1], vars[2], vars[3], gr, gc, 30, 29);
     let loss = prod.square().sum();
-    adept_tensor::set_gemm_threads(1);
     let (bytes, grads) = bytes_allocated(|| g.backward(loss));
-    adept_tensor::set_gemm_threads(0);
     for v in &vars {
         assert_eq!(grads.grad(*v).unwrap().shape(), &[t, k, k]);
     }
