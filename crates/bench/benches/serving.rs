@@ -4,7 +4,10 @@
 //! Writes `BENCH_serving.json` with the standard `ns_per_iter` schema.
 //! The `serving/{tape,compiled}` pair is the acceptance gate of the
 //! compiled-inference PR (compiled single-sample forward ≥5× faster than
-//! the tape on the quickstart-scale proxy CNN); `serving_latency/p50`,
+//! the tape on the quickstart-scale proxy CNN). `serving/compiled_batch16`
+//! runs 16 copies of that sample in one call on the same plan; divided by
+//! 16 it is the per-sample cost at batch 16, which shows what batching
+//! buys the plan over `serving/compiled`. `serving_latency/p50`,
 //! `serving_latency/p99` and `serving_throughput/per_request` come from a
 //! real serve session and use nanoseconds in the same schema. The
 //! `f32_vs_f64/{f64,f32}` pair compares the same compiled forward at both
@@ -68,6 +71,15 @@ fn main() {
             b.iter(|| {
                 plan.run_batch(black_box(&input), 1, &mut out);
                 black_box(out[0])
+            });
+        });
+        let batch = input.repeat(16);
+        let mut batch_out = vec![0.0; 16 * plan.output_features()];
+        plan.run_batch(&batch, 16, &mut batch_out); // warm the slabs
+        group.bench_function("compiled_batch16", |b| {
+            b.iter(|| {
+                plan.run_batch(black_box(&batch), 16, &mut batch_out);
+                black_box(batch_out[0])
             });
         });
         group.finish();

@@ -31,7 +31,8 @@
 //!   bit-identical to the tape forward with noise off, and identical to
 //!   `evaluate_seeded`'s frozen noisy weights for the same seed.
 //! * [`serve()`] — the **serving runtime**: a request queue that coalesces
-//!   single-sample requests into mini-batches (size cap + fill deadline),
+//!   single-sample requests into mini-batches (a free worker takes
+//!   everything queued, up to a size cap, without waiting for it to fill),
 //!   shards batches across the shared `adept_tensor::pool` workers (each
 //!   with a private plan clone), and reports req/s with p50/p99 latency
 //!   ([`ServeReport`]). Batch size and worker count follow

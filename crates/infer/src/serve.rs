@@ -1,15 +1,17 @@
 //! Batching serving runtime over a compiled [`ExecPlan`] — hardened for
 //! faulty inputs and overload.
 //!
-//! Single-sample requests land in a **bounded** queue; workers coalesce
-//! them into mini-batches under a size/deadline policy (take what is
-//! there, wait up to `max_wait` to fill the batch) and run each batch
-//! through a private [`BatchRunner`] on the shared [`adept_tensor::pool`]
-//! worker set. Because compiled per-sample outputs are independent of
-//! batch composition (see [`ExecPlan::run_batch`]), coalescing is
-//! invisible in the results — only in the latency histogram, which
-//! [`ServeReport`] summarizes as req/s plus p50/p99 over the *served*
-//! requests.
+//! Single-sample requests land in a **bounded** queue. Batch formation is
+//! work-conserving: a free worker takes everything queued, up to the
+//! batch cap, and runs it at once through a private [`BatchRunner`] on the
+//! shared [`adept_tensor::pool`] worker set. It does not wait for a batch
+//! to fill, because a compiled plan's per-sample cost is flat in batch
+//! size, so a fill wait adds latency and buys no throughput. Requests that
+//! arrive while a worker runs queue up and form the next batch. Because
+//! compiled per-sample outputs are independent of batch composition (see
+//! [`ExecPlan::run_batch`]), coalescing is invisible in the results —
+//! only in the latency histogram, which [`ServeReport`] summarizes as
+//! req/s plus p50/p99 over the *served* requests.
 //!
 //! # Failure semantics
 //!
@@ -32,11 +34,12 @@
 //!   [`std::panic::catch_unwind`]. A panicking runner fails *only that
 //!   batch* ([`RequestOutcome::Failed`]); the worker replaces its runner
 //!   with a pristine instance (a mid-run panic may leave internal scratch
-//!   in a torn state) and keeps serving subsequent batches. The shared
-//!   queue and latency locks recover from [`std::sync::PoisonError`]
-//!   (every critical section only moves complete items, so a poisoned
-//!   guard still protects coherent state) — a thread that dies while
-//!   holding a lock cannot cascade panics into every later lock site.
+//!   in a torn state) and keeps serving subsequent batches. The queue,
+//!   the only lock the workers share, recovers from
+//!   [`std::sync::PoisonError`] (every critical section only moves
+//!   complete items, so a poisoned guard still protects coherent state) —
+//!   a thread that dies while holding it cannot cascade panics into every
+//!   later lock site.
 //! * **Graceful shutdown** — closing the queue stops admissions but
 //!   workers drain everything already admitted before exiting, so no
 //!   request is silently dropped on shutdown.
@@ -60,7 +63,7 @@ use adept_telemetry::{Counter, Histogram};
 use adept_tensor::pool;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -90,8 +93,10 @@ pub struct ServeConfig {
     /// Worker count; `0` = auto (`ONN_SERVE_THREADS`, else the pool's auto
     /// thread count).
     pub threads: usize,
-    /// How long a worker holding a partial batch waits for more arrivals
-    /// before running what it has.
+    /// How long a worker may hold a partial batch open for more arrivals:
+    /// one deadline, counted from when it takes the batch's first request
+    /// (none once the queue is closed). Zero, the auto value, runs what is
+    /// queued at once.
     pub max_wait: Duration,
     /// Synthetic request-stream pacing: delay between enqueues. Zero means
     /// an open firehose (every request available immediately).
@@ -106,13 +111,13 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Everything on auto: env-tuned batch/threads/queue/deadline, 200µs
-    /// fill deadline, firehose arrivals.
+    /// Everything on auto: env-tuned batch/threads/queue/deadline, no fill
+    /// wait (a free worker runs what is queued), firehose arrivals.
     pub fn auto() -> Self {
         Self {
             max_batch: 0,
             threads: 0,
-            max_wait: Duration::from_micros(200),
+            max_wait: Duration::ZERO,
             arrival_spacing: Duration::ZERO,
             queue_cap: 0,
             deadline: Duration::ZERO,
@@ -155,8 +160,7 @@ pub struct ServeReport {
     pub failed: usize,
     /// Per-request outcomes, in submission order.
     pub outcomes: Vec<RequestOutcome>,
-    /// Mini-batches executed successfully (≤ served; smaller is better
-    /// coalescing).
+    /// Mini-batches executed successfully (≤ served).
     pub batches: usize,
     /// Effective mini-batch cap after auto resolution.
     pub max_batch: usize,
@@ -216,19 +220,28 @@ impl BatchRunner for ExecPlan {
     }
 }
 
-/// Bounded FIFO of pending request indices with their enqueue stamps.
-struct Queue {
-    inner: Mutex<QueueState>,
+/// Bounded FIFO of pending requests.
+struct Queue<'o> {
+    inner: Mutex<QueueState<'o>>,
     ready: Condvar,
     cap: usize,
 }
 
-struct QueueState {
-    pending: VecDeque<(usize, Instant)>,
+struct QueueState<'o> {
+    pending: VecDeque<Request<'o>>,
     closed: bool,
 }
 
-impl Queue {
+/// One admitted request: its index, its enqueue stamp and the output slice
+/// it owns. A worker that serves it fills `out`; a request that is not
+/// served drops `out` untouched, so its slice stays zeroed.
+struct Request<'o> {
+    idx: usize,
+    enqueued: Instant,
+    out: &'o mut [f64],
+}
+
+impl<'o> Queue<'o> {
     fn new(cap: usize) -> Self {
         Self {
             inner: Mutex::new(QueueState {
@@ -242,12 +255,16 @@ impl Queue {
 
     /// Admits a request unless the queue is at capacity; a `false` return
     /// is the shed signal — the request was **not** enqueued.
-    fn try_push(&self, idx: usize) -> bool {
+    fn try_push(&self, idx: usize, out: &'o mut [f64]) -> bool {
         let mut st = lock_recover(&self.inner);
         if st.pending.len() >= self.cap {
             return false;
         }
-        st.pending.push_back((idx, Instant::now()));
+        st.pending.push_back(Request {
+            idx,
+            enqueued: Instant::now(),
+            out,
+        });
         drop(st);
         self.ready.notify_one();
         true
@@ -258,50 +275,45 @@ impl Queue {
         self.ready.notify_all();
     }
 
-    /// Pops up to `max` requests into `out`. Blocks for the first request;
-    /// once holding a partial batch, waits at most `max_wait` for it to
-    /// fill before returning. Returns `false` when the queue is closed and
-    /// drained — the worker's signal to exit. Closing therefore never
-    /// drops admitted requests: they all pass through some worker's batch.
-    fn pop_batch(&self, max: usize, max_wait: Duration, out: &mut Vec<(usize, Instant)>) -> bool {
+    /// Pops up to `max` requests into `out`. Blocks for the first request,
+    /// then takes everything queued up to `max`. A partial batch waits for
+    /// more arrivals until `max_wait` after the first take, not a fresh
+    /// `max_wait` per arrival, and not at all once the queue is closed.
+    /// Returns `false` when the queue is closed and drained — the worker's
+    /// signal to exit. Closing therefore never drops admitted requests:
+    /// they all pass through some worker's batch.
+    fn pop_batch(&self, max: usize, max_wait: Duration, out: &mut Vec<Request<'o>>) -> bool {
         out.clear();
         let mut st = lock_recover(&self.inner);
-        loop {
-            while let Some(item) = st.pending.pop_front() {
-                out.push(item);
-                if out.len() == max {
-                    return true;
-                }
-            }
-            if !out.is_empty() {
-                // Partial batch in hand: give stragglers one deadline.
-                let (next, timeout) = wait_timeout_recover(&self.ready, st, max_wait);
-                st = next;
-                while out.len() < max {
-                    match st.pending.pop_front() {
-                        Some(item) => out.push(item),
-                        None => break,
-                    }
-                }
-                if timeout.timed_out() || out.len() == max || st.closed {
-                    return true;
-                }
-                continue;
-            }
+        while st.pending.is_empty() {
             if st.closed {
                 return false;
             }
             st = wait_recover(&self.ready, st);
         }
+        let first_taken = Instant::now();
+        loop {
+            let take = st.pending.len().min(max - out.len());
+            out.extend(st.pending.drain(..take));
+            let left = max_wait.saturating_sub(first_taken.elapsed());
+            if out.len() == max || st.closed || left.is_zero() {
+                return true;
+            }
+            st = wait_timeout_recover(&self.ready, st, left).0;
+        }
     }
 }
 
-/// Raw output cursor handed to workers. Each request index owns a disjoint
-/// `out_features` slice of the output buffer, so concurrent writes never
-/// alias.
-struct OutPtr(*mut f64);
-unsafe impl Send for OutPtr {}
-unsafe impl Sync for OutPtr {}
+/// One worker's latency samples, merged across workers after the session.
+#[derive(Default)]
+struct Samples {
+    /// Enqueue → completion, one per served request.
+    latencies: Vec<Duration>,
+    /// Enqueue → batch pickup, one per served request.
+    waits: Vec<Duration>,
+    /// `run_batch` wall-clock, one per successful mini-batch.
+    execs: Vec<Duration>,
+}
 
 /// Outcome-slot encoding (request outcomes land in a shared `AtomicU8`
 /// array; relaxed ordering suffices — the pool scope's join is the
@@ -344,7 +356,7 @@ pub fn serve(
 /// # Panics
 ///
 /// Panics if `inputs` does not hold `n_requests` samples of the runner's
-/// `input_elems`.
+/// `input_elems`, or if the runner reports zero output features.
 pub fn serve_with(
     make_runner: &(dyn Fn() -> Box<dyn BatchRunner> + Sync),
     inputs: &[f64],
@@ -361,6 +373,7 @@ pub fn serve_with(
         n_requests * in_elems,
         "inputs must hold n_requests samples"
     );
+    assert!(out_f > 0, "runner must produce at least one output feature");
     let max_batch = resolve(cfg.max_batch, pool::env_serve_batch(), 8).min(runner_cap);
     let threads = resolve(cfg.threads, pool::env_serve_threads(), {
         adept_tensor::gemm_thread_count().max(1)
@@ -374,49 +387,39 @@ pub fn serve_with(
 
     let mut outputs = vec![0.0; n_requests * out_f];
     let outcomes: Vec<AtomicU8> = (0..n_requests).map(|_| AtomicU8::new(PENDING)).collect();
-    let latencies: Mutex<Vec<Duration>> = Mutex::new(Vec::with_capacity(n_requests));
-    let queue_waits: Mutex<Vec<Duration>> = Mutex::new(Vec::with_capacity(n_requests));
-    // One entry per mini-batch; batches ≤ served ≤ n_requests.
-    let execs: Mutex<Vec<Duration>> = Mutex::new(Vec::with_capacity(n_requests));
-    let batches = AtomicUsize::new(0);
+    let mut samples: Vec<Samples> = (0..threads).map(|_| Samples::default()).collect();
     let queue = Queue::new(queue_cap);
-    let out_ptr = OutPtr(outputs.as_mut_ptr());
+    let out_chunks = outputs.chunks_mut(out_f);
     let started = Instant::now();
 
     pool::scope(|scope| {
-        for _ in 0..threads {
+        for samples in samples.iter_mut() {
             let queue = &queue;
-            let latencies = &latencies;
-            let queue_waits = &queue_waits;
-            let execs = &execs;
-            let batches = &batches;
-            let out_ptr = &out_ptr;
             let outcomes = outcomes.as_slice();
             let cfg = cfg.clone();
             scope.spawn(move || {
                 let mut runner = make_runner();
-                let mut batch: Vec<(usize, Instant)> = Vec::with_capacity(max_batch);
-                let mut live: Vec<(usize, Instant)> = Vec::with_capacity(max_batch);
+                let mut batch: Vec<Request> = Vec::with_capacity(max_batch);
                 let mut staged = vec![0.0; max_batch * in_elems];
                 let mut logits = vec![0.0; max_batch * out_f];
                 while queue.pop_batch(max_batch, cfg.max_wait, &mut batch) {
                     // Expire requests that waited past their deadline
                     // before spending any compute on them.
-                    live.clear();
                     let now = Instant::now();
-                    for &(idx, enqueued) in &batch {
-                        if deadline.is_some_and(|d| now.duration_since(enqueued) > d) {
-                            outcomes[idx].store(TIMED_OUT, Ordering::Relaxed);
-                        } else {
-                            let slot = live.len();
-                            staged[slot * in_elems..(slot + 1) * in_elems]
-                                .copy_from_slice(&inputs[idx * in_elems..(idx + 1) * in_elems]);
-                            live.push((idx, enqueued));
+                    batch.retain(|r| {
+                        let expired = deadline.is_some_and(|d| now.duration_since(r.enqueued) > d);
+                        if expired {
+                            outcomes[r.idx].store(TIMED_OUT, Ordering::Relaxed);
                         }
-                    }
-                    let n = live.len();
+                        !expired
+                    });
+                    let n = batch.len();
                     if n == 0 {
                         continue;
+                    }
+                    for (slot, r) in batch.iter().enumerate() {
+                        staged[slot * in_elems..(slot + 1) * in_elems]
+                            .copy_from_slice(&inputs[r.idx * in_elems..(r.idx + 1) * in_elems]);
                     }
                     let exec_start = Instant::now();
                     let ran = catch_unwind(AssertUnwindSafe(|| {
@@ -428,37 +431,25 @@ pub fn serve_with(
                             let exec = done - exec_start;
                             EXEC.record_duration(exec);
                             BATCHES_TOTAL.incr();
-                            lock_recover(execs).push(exec);
-                            let mut lat = lock_recover(latencies);
-                            let mut waits = lock_recover(queue_waits);
-                            for (slot, &(idx, enqueued)) in live.iter().enumerate() {
-                                // Disjoint per-request slice: idx is unique
-                                // across all batches, so no two workers
-                                // touch it.
-                                unsafe {
-                                    std::ptr::copy_nonoverlapping(
-                                        logits[slot * out_f..].as_ptr(),
-                                        out_ptr.0.add(idx * out_f),
-                                        out_f,
-                                    );
-                                }
-                                outcomes[idx].store(SERVED, Ordering::Relaxed);
-                                lat.push(done - enqueued);
+                            samples.execs.push(exec);
+                            for (r, got) in batch.iter_mut().zip(logits.chunks_exact(out_f)) {
+                                r.out.copy_from_slice(got);
+                                outcomes[r.idx].store(SERVED, Ordering::Relaxed);
+                                samples.latencies.push(done - r.enqueued);
                                 // Queue wait = enqueue → batch pickup; the
                                 // deadline check stamped pickup as `now`.
-                                let wait = now - enqueued;
+                                let wait = now - r.enqueued;
                                 QUEUE_WAIT.record_duration(wait);
-                                waits.push(wait);
+                                samples.waits.push(wait);
                             }
-                            batches.fetch_add(1, Ordering::Relaxed);
                         }
                         Err(_) => {
                             // Fail only this batch; a torn runner (panic
                             // mid-run may have consumed its scratch slabs)
                             // must not serve again — replace it and keep
                             // draining the queue.
-                            for &(idx, _) in &live {
-                                outcomes[idx].store(FAILED, Ordering::Relaxed);
+                            for r in &batch {
+                                outcomes[r.idx].store(FAILED, Ordering::Relaxed);
                             }
                             runner = make_runner();
                         }
@@ -468,11 +459,11 @@ pub fn serve_with(
         }
         // Producer on the caller thread: enqueue the synthetic stream
         // (shedding on a full queue), then close so drained workers exit.
-        for idx in 0..n_requests {
+        for (idx, out) in out_chunks.enumerate() {
             if !cfg.arrival_spacing.is_zero() {
                 std::thread::sleep(cfg.arrival_spacing);
             }
-            if !queue.try_push(idx) {
+            if !queue.try_push(idx, out) {
                 outcomes[idx].store(SHED, Ordering::Relaxed);
             }
         }
@@ -480,12 +471,15 @@ pub fn serve_with(
     });
 
     let elapsed = started.elapsed();
-    let mut lat = latencies.into_inner().unwrap_or_else(|e| e.into_inner());
-    lat.sort_unstable();
-    let mut waits = queue_waits.into_inner().unwrap_or_else(|e| e.into_inner());
-    waits.sort_unstable();
-    let mut exec = execs.into_inner().unwrap_or_else(|e| e.into_inner());
-    exec.sort_unstable();
+    let mut all = Samples::default();
+    for s in samples {
+        all.latencies.extend(s.latencies);
+        all.waits.extend(s.waits);
+        all.execs.extend(s.execs);
+    }
+    all.latencies.sort_unstable();
+    all.waits.sort_unstable();
+    all.execs.sort_unstable();
     let outcomes: Vec<RequestOutcome> = outcomes
         .into_iter()
         .map(|o| match o.into_inner() {
@@ -515,17 +509,17 @@ pub fn serve_with(
         timed_out,
         failed,
         outcomes,
-        batches: batches.into_inner(),
+        batches: all.execs.len(),
         max_batch,
         threads,
         elapsed,
         req_per_sec: served as f64 / elapsed.as_secs_f64().max(1e-12),
-        p50_latency: percentile(&lat, 50.0),
-        p99_latency: percentile(&lat, 99.0),
-        queue_wait_p50: percentile(&waits, 50.0),
-        queue_wait_p99: percentile(&waits, 99.0),
-        exec_p50: percentile(&exec, 50.0),
-        exec_p99: percentile(&exec, 99.0),
+        p50_latency: percentile(&all.latencies, 50.0),
+        p99_latency: percentile(&all.latencies, 99.0),
+        queue_wait_p50: percentile(&all.waits, 50.0),
+        queue_wait_p99: percentile(&all.waits, 99.0),
+        exec_p50: percentile(&all.execs, 50.0),
+        exec_p99: percentile(&all.execs, 99.0),
     };
     (outputs, report)
 }
@@ -586,7 +580,7 @@ mod tests {
     #[test]
     fn queue_survives_panic_while_holding_lock() {
         let queue = Queue::new(8);
-        assert!(queue.try_push(0));
+        assert!(queue.try_push(0, &mut []));
         std::thread::scope(|s| {
             let poisoner = s.spawn(|| {
                 let _guard = queue.inner.lock().unwrap();
@@ -595,32 +589,58 @@ mod tests {
             assert!(poisoner.join().is_err(), "poisoner must have panicked");
         });
         assert!(queue.inner.is_poisoned(), "lock must actually be poisoned");
-        assert!(queue.try_push(1), "push after poison must still admit");
+        assert!(
+            queue.try_push(1, &mut []),
+            "push after poison must still admit"
+        );
         let mut batch = Vec::new();
         assert!(queue.pop_batch(2, Duration::ZERO, &mut batch));
-        let idxs: Vec<usize> = batch.iter().map(|&(i, _)| i).collect();
+        let idxs: Vec<usize> = batch.iter().map(|r| r.idx).collect();
         assert_eq!(idxs, vec![0, 1], "pre- and post-poison pushes both drain");
         queue.close();
         assert!(!queue.pop_batch(2, Duration::ZERO, &mut batch));
     }
 
-    /// Same recovery for a latency-style `Mutex<Vec<_>>`: both the lock
-    /// helper and the final `into_inner` must yield the samples recorded
-    /// before and after the poisoning panic.
+    /// `max_wait` is one deadline from the batch's first request, not a
+    /// fresh wait per arrival: arrivals 5 ms apart cannot hold a 25 ms
+    /// batch open until the stream ends. With a zero `max_wait` a worker
+    /// takes what is queued and returns at once.
     #[test]
-    fn latency_mutex_recovers_from_poison() {
-        let latencies: Mutex<Vec<Duration>> = Mutex::new(Vec::new());
-        lock_recover(&latencies).push(Duration::from_millis(1));
-        std::thread::scope(|s| {
-            let poisoner = s.spawn(|| {
-                let _guard = latencies.lock().unwrap();
-                panic!("die holding the latency lock");
+    fn max_wait_bounds_the_fill_wait() {
+        let queue = Queue::new(64);
+        assert!(queue.try_push(0, &mut []));
+        let mut batch = Vec::new();
+        let waited = std::thread::scope(|s| {
+            s.spawn(|| {
+                for idx in 1..40 {
+                    std::thread::sleep(Duration::from_millis(5));
+                    assert!(queue.try_push(idx, &mut []));
+                }
             });
-            assert!(poisoner.join().is_err());
+            let started = Instant::now();
+            assert!(queue.pop_batch(64, Duration::from_millis(25), &mut batch));
+            started.elapsed()
         });
-        assert!(latencies.is_poisoned());
-        lock_recover(&latencies).push(Duration::from_millis(2));
-        let lat = latencies.into_inner().unwrap_or_else(|e| e.into_inner());
-        assert_eq!(lat.len(), 2, "samples on both sides of the poison remain");
+        assert!(
+            batch.len() < 40,
+            "a 25 ms fill wait outlasted a 200 ms stream"
+        );
+        assert!(
+            waited < Duration::from_millis(150),
+            "pop_batch took {waited:?} against a 25 ms max_wait"
+        );
+
+        let queue = Queue::new(8);
+        for idx in 0..3 {
+            assert!(queue.try_push(idx, &mut []));
+        }
+        let started = Instant::now();
+        assert!(queue.pop_batch(8, Duration::ZERO, &mut batch));
+        let idxs: Vec<usize> = batch.iter().map(|r| r.idx).collect();
+        assert_eq!(idxs, vec![0, 1, 2], "zero max_wait takes what is queued");
+        assert!(
+            started.elapsed() < Duration::from_millis(50),
+            "zero max_wait must not wait"
+        );
     }
 }

@@ -167,7 +167,8 @@ fn main() {
     );
 
     // 4. Serve a synthetic stream: every test image requested several
-    //    times, coalesced into mini-batches across the pool workers.
+    //    times. A free pool worker takes everything queued (up to the
+    //    batch cap) as one mini-batch, without waiting for it to fill.
     let rounds = 5;
     let n_requests = rounds * test.len();
     let in_elems = plan.input_elems();

@@ -9,6 +9,7 @@
 //! sum to the submitted total.
 
 use adept_infer::{serve_with, BatchRunner, RequestOutcome, ServeConfig};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Input value that makes [`MockRunner`] panic mid-batch.
@@ -64,6 +65,14 @@ fn cfg(max_batch: usize, threads: usize, queue_cap: usize, deadline: Duration) -
     }
 }
 
+/// Serve workers run on the process-wide pool, which on a small host has
+/// one worker. A test that times batch formation must find that worker
+/// free, so every test here holds this lock while it serves.
+fn exclusive_pool() -> MutexGuard<'static, ()> {
+    static POOL: Mutex<()> = Mutex::new(());
+    POOL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn assert_counts_sum(report: &adept_infer::ServeReport) {
     assert_eq!(
         report.served + report.shed + report.timed_out + report.failed,
@@ -87,6 +96,7 @@ fn assert_counts_sum(report: &adept_infer::ServeReport) {
 /// correct output, and shed slots stay zeroed.
 #[test]
 fn flooded_queue_sheds_instead_of_growing() {
+    let _pool = exclusive_pool();
     let n = 10;
     let inputs: Vec<f64> = (0..n).map(|i| i as f64).collect();
     let make = MockRunner::factory(Duration::from_millis(30));
@@ -113,6 +123,7 @@ fn flooded_queue_sheds_instead_of_growing() {
 /// being served late; p50/p99 cover only the served requests.
 #[test]
 fn expired_requests_are_dropped_not_served_late() {
+    let _pool = exclusive_pool();
     let n = 4;
     let inputs: Vec<f64> = (0..n).map(|i| 10.0 + i as f64).collect();
     let make = MockRunner::factory(Duration::from_millis(100));
@@ -149,6 +160,7 @@ fn expired_requests_are_dropped_not_served_late() {
 /// poisoned ones still complete with correct outputs.
 #[test]
 fn worker_panic_fails_only_its_batch() {
+    let _pool = exclusive_pool();
     let n = 12;
     let mut inputs: Vec<f64> = (0..n).map(|i| i as f64).collect();
     inputs[3] = POISON;
@@ -180,6 +192,7 @@ fn worker_panic_fails_only_its_batch() {
 /// session.
 #[test]
 fn blast_radius_is_the_batch_not_the_session() {
+    let _pool = exclusive_pool();
     let n = 32;
     let mut inputs: Vec<f64> = (0..n).map(|i| i as f64).collect();
     inputs[5] = POISON;
@@ -213,6 +226,7 @@ fn blast_radius_is_the_batch_not_the_session() {
 /// failing only its own batch.
 #[test]
 fn repeated_panics_do_not_poison_subsequent_requests() {
+    let _pool = exclusive_pool();
     let n = 60;
     let mut inputs: Vec<f64> = (0..n).map(|i| i as f64).collect();
     // 8 poisoned requests spread through the first 40, so each of the 3
@@ -254,6 +268,7 @@ fn repeated_panics_do_not_poison_subsequent_requests() {
 /// multiple workers.
 #[test]
 fn shutdown_drains_every_admitted_request() {
+    let _pool = exclusive_pool();
     let n = 64;
     let inputs: Vec<f64> = (0..n).map(|i| 0.5 * i as f64).collect();
     let make = MockRunner::factory(Duration::from_micros(300));
@@ -282,6 +297,7 @@ fn shutdown_drains_every_admitted_request() {
 /// poisoned) reports zeros for the whole split.
 #[test]
 fn report_splits_latency_into_queue_wait_and_exec() {
+    let _pool = exclusive_pool();
     let n = 8;
     let stall = Duration::from_millis(5);
     let inputs: Vec<f64> = (0..n).map(|i| i as f64).collect();
@@ -314,4 +330,38 @@ fn report_splits_latency_into_queue_wait_and_exec() {
     ] {
         assert_eq!(d, Duration::ZERO, "no served work, no latency split");
     }
+}
+
+/// The auto config does not wait for a batch to fill: with arrivals 50 µs
+/// apart and a runner that takes no time, a free worker runs each request
+/// (or the few that queued meanwhile) as it arrives, instead of holding
+/// it until 8 have come. A shared host can stall the worker's start for
+/// the whole 2 ms stream, which queues everything (4 full batches), so the
+/// session gets three tries; a fill wait gives 4 batches every time.
+#[test]
+fn auto_config_runs_paced_requests_without_waiting_to_fill() {
+    let _pool = exclusive_pool();
+    let n = 32;
+    let inputs: Vec<f64> = (0..n).map(|i| i as f64).collect();
+    let make = MockRunner::factory(Duration::ZERO);
+    let cfg = ServeConfig {
+        max_batch: 8,
+        threads: 1,
+        arrival_spacing: Duration::from_micros(50),
+        ..ServeConfig::auto()
+    };
+    let mut batches = Vec::new();
+    for _ in 0..3 {
+        let (out, report) = serve_with(&make, &inputs, n, &cfg);
+        assert_counts_sum(&report);
+        assert_eq!(report.served, n, "every request must be served");
+        for i in 0..n {
+            assert_eq!(out[i], 2.0 * i as f64 + 1.0, "request {i}");
+        }
+        batches.push(report.batches);
+        if report.batches >= 16 {
+            return;
+        }
+    }
+    panic!("32 paced requests ran in {batches:?} batches: the worker waited to fill");
 }
