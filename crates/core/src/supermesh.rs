@@ -17,6 +17,7 @@ use adept_autodiff::{
 };
 use adept_nn::mesh::{build_mesh_weight, prebuild_mesh_weights, MeshWeight};
 use adept_nn::{next_weight_uid, ForwardCtx, ParamId, ParamStore};
+use adept_photonics::codec::{fnv1a, FNV_OFFSET};
 use adept_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -481,9 +482,10 @@ pub fn batched_super_unitary<'g>(
 /// fold of every block variable's tape id. Stored alongside the prebuilt
 /// cache entry so a `build` call presenting *different* frames (e.g.
 /// rebuilt with a fresh Gumbel sample) panics instead of silently wiring
-/// the cached weight to the wrong variables.
+/// the cached weight to the wrong variables. Tags are only compared within
+/// one process, never stored.
 fn frames_tag(frame_u: &MeshFrame<'_>, frame_v: &MeshFrame<'_>) -> u64 {
-    let mut tag: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut tag = FNV_OFFSET;
     for block in frame_u.blocks.iter().chain(&frame_v.blocks) {
         for id in [
             block.p_relaxed.id(),
@@ -491,7 +493,7 @@ fn frames_tag(frame_u: &MeshFrame<'_>, frame_v: &MeshFrame<'_>) -> u64 {
             block.kappa.id(),
             block.gate.id(),
         ] {
-            tag = (tag ^ id as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            tag = fnv1a(tag, &(id as u64).to_le_bytes());
         }
     }
     tag

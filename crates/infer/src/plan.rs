@@ -48,6 +48,7 @@ use adept_nn::layers::Layer;
 use adept_nn::{
     lower_model_faulted, Checkpoint, CheckpointError, LowerError, LoweredStep, ParamStore,
 };
+use adept_photonics::codec::{fnv1a, FNV_OFFSET};
 use adept_photonics::FaultScenario;
 use adept_telemetry::Counter;
 use adept_tensor::{matmul_into, DirectConv, Element, TensorBase};
@@ -326,20 +327,14 @@ pub struct ExecPlan {
 /// FNV-1a over every parameter tensor's shape and f64 bit pattern, in
 /// `model.param_ids()` order. Cheap change detection for [`ExecPlan::refresh`].
 fn param_fingerprint(model: &dyn Layer, store: &ParamStore) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = FNV_OFFSET;
     for id in model.param_ids() {
         let t = store.value(id);
         for &d in t.shape() {
-            mix(d as u64);
+            h = fnv1a(h, &(d as u64).to_le_bytes());
         }
         for &x in t.as_slice() {
-            mix(x.to_bits());
+            h = fnv1a(h, &x.to_bits().to_le_bytes());
         }
     }
     h

@@ -43,50 +43,36 @@
 //! not-a-checkpoint, unsupported version, truncation (missing `end`),
 //! checksum mismatch, malformed records, and name/shape mismatches
 //! against the rebuilt architecture.
+//!
+//! The records keep their own positional grammar, but the rules below the
+//! line are the ones device specs use ([`adept_photonics::codec`]): the
+//! line-anchored error, the integer/hex token parsers, the FNV-1a
+//! checksum, `ublock`/`vblock` records parsed by [`codec::mesh_block`]
+//! against the shared block rules ([`MeshBlock::check`]: `k ≥ 2`,
+//! `dc_start` ∈ {0, 1}, one flag per coupler slot, a bijection of `k`
+//! wires), and fault records checked by [`FaultKind::check`].
 
 use crate::layers::{Layer, Sequential};
 use crate::models::{proxy_cnn, Backend, InputShape};
 use crate::param::ParamStore;
+use adept_photonics::codec::{self, fnv1a, LineError, TextFormat, FNV_OFFSET};
 use adept_photonics::{BlockMeshTopology, FaultKind, FaultScenario, MeshBlock};
 use adept_tensor::Tensor;
-use std::fmt;
 use std::fmt::Write as _;
 use std::path::Path;
 
+/// Marks [`LineError`]s of the checkpoint format.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CheckpointText {}
+
+impl TextFormat for CheckpointText {
+    const NAME: &'static str = "checkpoint";
+}
+
 /// A load/save failure, anchored to a checkpoint line (`line == 0` means
-/// file-level: I/O, truncation, architecture mismatch).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckpointError {
-    /// 1-based line the error was detected on; 0 for file-level errors.
-    pub line: usize,
-    /// What went wrong and, where possible, how to fix it.
-    pub message: String,
-}
-
-impl CheckpointError {
-    fn at(line: usize, message: impl Into<String>) -> Self {
-        Self {
-            line,
-            message: message.into(),
-        }
-    }
-
-    fn file(message: impl Into<String>) -> Self {
-        Self::at(0, message)
-    }
-}
-
-impl fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.line == 0 {
-            write!(f, "checkpoint: {}", self.message)
-        } else {
-            write!(f, "checkpoint line {}: {}", self.line, self.message)
-        }
-    }
-}
-
-impl std::error::Error for CheckpointError {}
+/// file-level: I/O, truncation, architecture mismatch). Displays as
+/// `checkpoint line N: …`.
+pub type CheckpointError = LineError<CheckpointText>;
 
 /// The architecture a checkpoint rebuilds on load. Stored declaratively —
 /// the loader re-runs the *same* model builder with the same seed, so
@@ -346,7 +332,7 @@ impl Checkpoint {
             }
             body.push('\n');
         }
-        let checksum = fnv1a(body.as_bytes());
+        let checksum = fnv1a(FNV_OFFSET, body.as_bytes());
         let _ = writeln!(body, "end {checksum:016x}");
         body
     }
@@ -372,18 +358,19 @@ impl Checkpoint {
         })?;
         let body = &text[..end_pos + 1];
         let end_line_no = body.lines().count() + 1;
-        let end_line = text[end_pos + 1..].trim_end();
-        if !text[end_pos + 1..].trim_end_matches('\n').eq(end_line)
-            || end_line.split_whitespace().count() != 2
-        {
-            return Err(CheckpointError::at(
-                end_line_no,
-                "malformed `end <checksum>` line (or trailing garbage after it)",
-            ));
-        }
-        let stored = u64::from_str_radix(end_line.split_whitespace().nth(1).unwrap(), 16)
+        let end_line = text[end_pos + 1..].trim_end_matches('\n');
+        let checksum = match end_line.split_whitespace().collect::<Vec<_>>()[..] {
+            [_, checksum] if end_line.trim_end() == end_line => checksum,
+            _ => {
+                return Err(CheckpointError::at(
+                    end_line_no,
+                    "malformed `end <checksum>` line (or trailing garbage after it)",
+                ))
+            }
+        };
+        let stored = codec::hex(checksum)
             .map_err(|_| CheckpointError::at(end_line_no, "checksum is not 16 hex digits"))?;
-        let actual = fnv1a(body.as_bytes());
+        let actual = fnv1a(FNV_OFFSET, body.as_bytes());
         if stored != actual {
             return Err(CheckpointError::at(
                 end_line_no,
@@ -396,7 +383,7 @@ impl Checkpoint {
 
         let mut cur = Cursor::new(body);
         cur.next(); // header, already validated
-        let (line_no, tokens) = cur.expect("model line")?;
+        let (line_no, tokens) = cur.record("model line")?;
         if tokens.len() != 8 || tokens[0] != "model" || tokens[1] != "proxy_cnn" {
             return Err(CheckpointError::at(
                 line_no,
@@ -411,7 +398,7 @@ impl Checkpoint {
             seed: parse_int(line_no, tokens[7])?,
         };
 
-        let (line_no, tokens) = cur.expect("backend line")?;
+        let (line_no, tokens) = cur.record("backend line")?;
         if tokens.first() != Some(&"backend") {
             return Err(CheckpointError::at(
                 line_no,
@@ -437,7 +424,7 @@ impl Checkpoint {
                 )),
             };
 
-        let (line_no, tokens) = cur.expect("noise_seed line")?;
+        let (line_no, tokens) = cur.record("noise_seed line")?;
         if tokens.len() != 2 || tokens[0] != "noise_seed" {
             return Err(CheckpointError::at(line_no, "expected `noise_seed <u64>`"));
         }
@@ -449,7 +436,7 @@ impl Checkpoint {
             None
         };
 
-        let (line_no, tokens) = cur.expect("params line")?;
+        let (line_no, tokens) = cur.record("params line")?;
         if tokens.len() != 2 || tokens[0] != "params" {
             return Err(CheckpointError::at(line_no, "expected `params <count>`"));
         }
@@ -458,7 +445,7 @@ impl Checkpoint {
         let n_params: usize = parse_int(line_no, tokens[1])?;
         let mut params = Vec::new();
         for _ in 0..n_params {
-            let (line_no, tokens) = cur.expect("param line")?;
+            let (line_no, tokens) = cur.record("param line")?;
             if tokens.len() < 4 || tokens[0] != "param" {
                 return Err(CheckpointError::at(
                     line_no,
@@ -496,14 +483,14 @@ impl Checkpoint {
             params.push(ParamRecord { name, shape, bits });
         }
 
-        let (line_no, tokens) = cur.expect("state line")?;
+        let (line_no, tokens) = cur.record("state line")?;
         if tokens.len() != 2 || tokens[0] != "state" {
             return Err(CheckpointError::at(line_no, "expected `state <count>`"));
         }
         let n_state: usize = parse_int(line_no, tokens[1])?;
         let mut state = Vec::new();
         for _ in 0..n_state {
-            let (line_no, tokens) = cur.expect("stat line")?;
+            let (line_no, tokens) = cur.record("stat line")?;
             if tokens.len() < 3 || tokens[0] != "stat" {
                 return Err(CheckpointError::at(
                     line_no,
@@ -557,6 +544,7 @@ pub fn load_backend(path: impl AsRef<Path>) -> Result<Checkpoint, CheckpointErro
     Checkpoint::parse(&text)
 }
 
+/// Writes one `ublock`/`vblock` record: the only mesh-block writer.
 fn block_line(tag: &str, block: &MeshBlock) -> String {
     let flags: String = if block.couplers.is_empty() {
         "-".to_owned()
@@ -609,37 +597,25 @@ impl<'a> Cursor<'a> {
         self.peeked.as_ref().and_then(|(_, t)| t.first().copied())
     }
 
-    fn expect(&mut self, what: &str) -> Result<(usize, Vec<&'a str>), CheckpointError> {
+    /// The next record, or a truncation error naming `what` was expected.
+    fn record(&mut self, what: &str) -> Result<(usize, Vec<&'a str>), CheckpointError> {
         self.next()
             .ok_or_else(|| CheckpointError::file(format!("truncated checkpoint: expected {what}")))
     }
 }
 
-/// Parses one decimal integer of type `T`; out-of-range values are errors,
-/// never truncations.
+/// [`codec::int`] on checkpoint line `line`.
 fn parse_int<T: std::str::FromStr>(line: usize, token: &str) -> Result<T, CheckpointError> {
-    token.parse().map_err(|_| {
-        CheckpointError::at(
-            line,
-            format!(
-                "expected an integer ({}), got `{token}`",
-                std::any::type_name::<T>()
-            ),
-        )
-    })
+    codec::int(token).map_err(|m| CheckpointError::at(line, m))
 }
 
 fn parse_usizes(line: usize, tokens: &[&str]) -> Result<Vec<usize>, CheckpointError> {
     tokens.iter().map(|t| parse_int(line, t)).collect()
 }
 
+/// [`codec::hex`] on checkpoint line `line`.
 fn parse_hex(line: usize, token: &str) -> Result<u64, CheckpointError> {
-    u64::from_str_radix(token, 16).map_err(|_| {
-        CheckpointError::at(
-            line,
-            format!("expected a 16-hex-digit bit pattern, got `{token}`"),
-        )
-    })
+    codec::hex(token).map_err(|m| CheckpointError::at(line, m))
 }
 
 fn parse_hexes(line: usize, tokens: &[&str]) -> Result<Vec<u64>, CheckpointError> {
@@ -654,62 +630,31 @@ fn parse_mesh(
 ) -> Result<BlockMeshTopology, CheckpointError> {
     let mut blocks = Vec::new();
     for _ in 0..count {
-        let (line_no, tokens) = cur.expect(&format!("{tag} line"))?;
+        let (line_no, tokens) = cur.record(&format!("{tag} line"))?;
         if tokens.len().checked_sub(3) != Some(k) || tokens[0] != tag {
             return Err(CheckpointError::at(
                 line_no,
                 format!("expected `{tag} <dc_start> <flags> <{k} perm wires>`"),
             ));
         }
-        let dc_start: usize = parse_int(line_no, tokens[1])?;
-        if dc_start > 1 {
-            return Err(CheckpointError::at(line_no, "dc_start must be 0 or 1"));
-        }
-        let couplers: Vec<bool> = if tokens[2] == "-" {
-            Vec::new()
-        } else {
-            tokens[2]
-                .chars()
-                .map(|c| match c {
-                    '0' => Ok(false),
-                    '1' => Ok(true),
-                    c => Err(CheckpointError::at(
-                        line_no,
-                        format!("coupler flags must be 0/1, got `{c}`"),
-                    )),
-                })
-                .collect::<Result<_, _>>()?
-        };
-        if couplers.len() != MeshBlock::coupler_slots(k, dc_start) {
-            return Err(CheckpointError::at(
-                line_no,
-                format!(
-                    "{} coupler flags, k = {k} with dc_start = {dc_start} needs {}",
-                    couplers.len(),
-                    MeshBlock::coupler_slots(k, dc_start)
-                ),
-            ));
-        }
-        let image = parse_usizes(line_no, &tokens[3..])?;
-        let perm = adept_linalg::Permutation::from_vec(image)
-            .map_err(|e| CheckpointError::at(line_no, format!("invalid permutation: {e}")))?;
-        blocks.push(MeshBlock {
-            dc_start,
-            couplers,
-            perm,
-        });
+        // `-` stands for the empty flag list of a block without coupler
+        // slots.
+        let flags = if tokens[2] == "-" { "" } else { tokens[2] };
+        let block = codec::mesh_block(k, tokens[1], flags, tokens[3..].iter().copied())
+            .map_err(|m| CheckpointError::at(line_no, m))?;
+        blocks.push(block);
     }
     Ok(BlockMeshTopology::new(k, blocks))
 }
 
 fn parse_fault(cur: &mut Cursor<'_>) -> Result<FaultScenario, CheckpointError> {
-    let (line_no, tokens) = cur.expect("fault_seed line")?;
+    let (line_no, tokens) = cur.record("fault_seed line")?;
     if tokens.len() != 2 || tokens[0] != "fault_seed" {
         return Err(CheckpointError::at(line_no, "expected `fault_seed <u64>`"));
     }
     let mut scenario = FaultScenario::new(parse_int(line_no, tokens[1])?);
     loop {
-        let (line_no, tokens) = cur.expect("fault or fault_fp line")?;
+        let (line_no, tokens) = cur.record("fault or fault_fp line")?;
         match tokens[0] {
             "fault" => {
                 let kind = match (tokens.get(1).copied(), tokens.len()) {
@@ -766,17 +711,6 @@ fn parse_fault(cur: &mut Cursor<'_>) -> Result<FaultScenario, CheckpointError> {
     }
 }
 
-/// FNV-1a over a byte stream (the same hash family the plan fingerprint
-/// and fault sites use).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -826,6 +760,24 @@ mod tests {
         }
         // Serialization is deterministic.
         assert_eq!(back.to_text(), text);
+        // Random topologies (k ∈ {4, 8, 10}, 1–3 blocks) through the
+        // `ublock`/`vblock` codec, the only block writer: every block field
+        // is in the text, so equal texts mean equal topologies.
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
+        for (k, b) in [4, 8, 10]
+            .into_iter()
+            .flat_map(|k| (1..4).map(move |b| (k, b)))
+        {
+            let mut random = ckpt.clone();
+            let u = BlockMeshTopology::random(&mut rng, k, b);
+            random.backend = Backend::topology(u, BlockMeshTopology::random(&mut rng, k, 4 - b));
+            let text = random.to_text();
+            assert_eq!(
+                Checkpoint::parse(&text).unwrap().to_text(),
+                text,
+                "k={k} b={b}"
+            );
+        }
     }
 
     #[test]
@@ -879,7 +831,7 @@ mod tests {
     fn reseal(text: &str) -> String {
         let end_pos = text.rfind("\nend ").unwrap();
         let body = &text[..end_pos + 1];
-        format!("{body}end {:016x}\n", fnv1a(body.as_bytes()))
+        format!("{body}end {:016x}\n", fnv1a(FNV_OFFSET, body.as_bytes()))
     }
 
     /// 1-based number of the first line of `text` starting with `prefix`.
@@ -896,6 +848,8 @@ mod tests {
         let text = ckpt.to_text();
         let line = |prefix: &str| text.lines().find(|l| l.starts_with(prefix)).unwrap();
         let params = format!("params {}", ckpt.params.len());
+        let backend_at = text.find("backend ").unwrap();
+        let mesh = &text[backend_at..text.find("noise_seed").unwrap()];
         let bias = line("param conv1.b ");
         let stat = line("stat ");
         let stat_name = stat.split_whitespace().nth(1).unwrap();
@@ -952,6 +906,13 @@ mod tests {
                 format!("stat {stat_name} 18446744073709551615"),
                 "declares 18446744073709551615 values but carries 0",
                 "stat ",
+            ),
+            // A mesh too small for any coupler slot arithmetic.
+            (
+                mesh.to_owned(),
+                "backend topology 0 1 1\nublock 1 -\nvblock 0 -\n".to_owned(),
+                "k must be ≥ 2, got 0",
+                "ublock ",
             ),
         ];
         for (from, to, want, at) in cases {

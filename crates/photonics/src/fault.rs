@@ -38,6 +38,7 @@
 //! assert_eq!(scenario.apply_phase(site, 1.0), scenario.apply_phase(site, 1.0));
 //! ```
 
+use crate::codec::{fnv1a, FNV_OFFSET};
 use crate::topology::BlockMeshTopology;
 
 /// One kind of hardware fault. Combine several into a [`FaultScenario`].
@@ -129,20 +130,11 @@ pub struct FaultScenario {
     faults: Vec<FaultKind>,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
 }
 
 impl FaultScenario {

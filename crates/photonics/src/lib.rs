@@ -23,14 +23,17 @@
 //!   thermal drift and phase quantization, applied per physical device site;
 //! * [`registry`] — runtime-loaded declarative device specs
 //!   ([`DeviceSpec`]): PDK corners, noise sigma, fault priors and the mesh
-//!   topology in one TOML-like text file with line-numbered validation.
+//!   topology in one TOML-like text file with line-numbered validation;
+//! * [`codec`] — the rules device specs and checkpoints share: one
+//!   line-anchored error, one integer/hex token parser, one mesh-block
+//!   parser and one FNV-1a.
 
 pub mod butterfly;
 pub mod clements;
+pub mod codec;
 mod cost;
 pub mod devices;
 pub mod fault;
-pub mod io;
 mod noise;
 mod pdk;
 pub mod registry;

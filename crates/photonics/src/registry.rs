@@ -56,49 +56,29 @@
 //! [`DeviceSpec::parse`] validates everything the constructors it feeds
 //! would otherwise panic on (probabilities, butterfly power-of-two,
 //! permutation bijectivity, …) and returns line-anchored errors instead.
+//! Integers, `block` entries and fault priors go through the rules
+//! checkpoints share ([`crate::codec`], [`FaultKind::check`]).
 
+use crate::codec::{self, LineError, TextFormat};
 use crate::fault::{FaultKind, FaultScenario};
 use crate::noise::PhaseNoise;
 use crate::pdk::Pdk;
 use crate::topology::{BlockMeshTopology, MeshBlock};
-use adept_linalg::Permutation;
-use std::fmt;
 use std::path::Path;
+use std::str::FromStr;
+
+/// Marks [`LineError`]s of the device-spec format.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DeviceSpecText {}
+
+impl TextFormat for DeviceSpecText {
+    const NAME: &'static str = "device spec";
+}
 
 /// A parse or validation failure, anchored to a spec line (`line == 0`
-/// means file-level: missing section, unreadable file).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpecError {
-    /// 1-based line the error was detected on; 0 for file-level errors.
-    pub line: usize,
-    /// What went wrong, including the offending key/value where known.
-    pub message: String,
-}
-
-impl SpecError {
-    fn at(line: usize, message: impl Into<String>) -> Self {
-        Self {
-            line,
-            message: message.into(),
-        }
-    }
-
-    fn file(message: impl Into<String>) -> Self {
-        Self::at(0, message)
-    }
-}
-
-impl fmt::Display for SpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.line == 0 {
-            write!(f, "device spec: {}", self.message)
-        } else {
-            write!(f, "device spec line {}: {}", self.line, self.message)
-        }
-    }
-}
-
-impl std::error::Error for SpecError {}
+/// means file-level: missing section, unreadable file). Displays as
+/// `device spec line N: …`.
+pub type SpecError = LineError<DeviceSpecText>;
 
 /// The mesh family a spec programs, in declarative form.
 #[derive(Debug, Clone, PartialEq)]
@@ -344,42 +324,8 @@ fn f64_value(e: &Entry) -> Result<f64, SpecError> {
     Ok(v)
 }
 
-fn usize_value(e: &Entry) -> Result<usize, SpecError> {
-    e.value.parse().map_err(|_| {
-        SpecError::at(
-            e.line,
-            format!(
-                "key `{}` expects a non-negative integer, got `{}`",
-                e.key, e.value
-            ),
-        )
-    })
-}
-
-fn u64_value(e: &Entry) -> Result<u64, SpecError> {
-    e.value.parse().map_err(|_| {
-        SpecError::at(
-            e.line,
-            format!(
-                "key `{}` expects a non-negative integer, got `{}`",
-                e.key, e.value
-            ),
-        )
-    })
-}
-
-fn probability(e: &Entry) -> Result<f64, SpecError> {
-    let p = f64_value(e)?;
-    if !(0.0..=1.0).contains(&p) {
-        return Err(SpecError::at(
-            e.line,
-            format!(
-                "key `{}` is a probability and must be in [0, 1], got {p}",
-                e.key
-            ),
-        ));
-    }
-    Ok(p)
+fn int_value<T: FromStr>(e: &Entry) -> Result<T, SpecError> {
+    codec::int(&e.value).map_err(|m| SpecError::at(e.line, format!("key `{}`: {m}", e.key)))
 }
 
 fn build(sections: Vec<Section>) -> Result<DeviceSpec, SpecError> {
@@ -511,7 +457,9 @@ fn build_pdk(s: &Section) -> Result<(Pdk, f64, f64), SpecError> {
 /// Composes the fault priors into a [`FaultScenario`] in a fixed order
 /// (dead shifters, stuck shifters, dead couplers, thermal drift, phase
 /// quantization) so identical specs always fingerprint identically.
-/// Returns `None` when every prior is inactive.
+/// A prior present with a non-zero value must pass [`FaultKind::check`]
+/// and joins the scenario; a zero one is off. Returns `None` when every
+/// prior is off.
 fn build_faults(s: &Section) -> Result<Option<FaultScenario>, SpecError> {
     s.check_keys(&[
         "seed",
@@ -522,85 +470,58 @@ fn build_faults(s: &Section) -> Result<Option<FaultScenario>, SpecError> {
         "thermal_drift_std",
         "quant_bits",
     ])?;
-    let seed = s.get("seed").map(u64_value).transpose()?.unwrap_or(0);
-    let dead_p = s
-        .get("dead_shifter_p")
-        .map(probability)
-        .transpose()?
-        .unwrap_or(0.0);
-    let stuck_p = s
-        .get("stuck_shifter_p")
-        .map(probability)
-        .transpose()?
-        .unwrap_or(0.0);
-    let stuck_theta = s
-        .get("stuck_theta")
-        .map(f64_value)
-        .transpose()?
-        .unwrap_or(0.0);
-    if stuck_p == 0.0 {
-        if let Some(e) = s.get("stuck_theta") {
-            return Err(SpecError::at(
-                e.line,
-                "stuck_theta requires stuck_shifter_p > 0",
-            ));
-        }
+    let seed = s.get("seed").map(int_value).transpose()?.unwrap_or(0);
+    let mut kinds = Vec::new();
+    let mut add = |e: &Entry, kind: FaultKind| -> Result<(), SpecError> {
+        kind.check()
+            .map_err(|msg| SpecError::at(e.line, format!("`{} = {}`: {msg}", e.key, e.value)))?;
+        kinds.push(kind);
+        Ok(())
+    };
+    let nonzero = |key: &str| -> Result<Option<(&Entry, f64)>, SpecError> {
+        let Some(e) = s.get(key) else {
+            return Ok(None);
+        };
+        let v = f64_value(e)?;
+        Ok((v != 0.0).then_some((e, v)))
+    };
+    if let Some((e, p)) = nonzero("dead_shifter_p")? {
+        add(e, FaultKind::DeadShifter { p })?;
     }
-    let coupler_p = s
-        .get("dead_coupler_p")
-        .map(probability)
-        .transpose()?
-        .unwrap_or(0.0);
-    let drift = match s.get("thermal_drift_std") {
-        None => 0.0,
-        Some(e) => {
-            let v = f64_value(e)?;
-            if v < 0.0 {
+    let theta = s.get("stuck_theta").map(f64_value).transpose()?;
+    match nonzero("stuck_shifter_p")? {
+        Some((e, p)) => add(
+            e,
+            FaultKind::StuckShifter {
+                p,
+                theta: theta.unwrap_or(0.0),
+            },
+        )?,
+        None => {
+            if let Some(e) = s.get("stuck_theta") {
                 return Err(SpecError::at(
                     e.line,
-                    format!("thermal_drift_std must be ≥ 0, got {v}"),
+                    "stuck_theta requires stuck_shifter_p > 0",
                 ));
             }
-            v
         }
-    };
-    let bits = match s.get("quant_bits") {
-        None => 0,
-        Some(e) => {
-            let v = usize_value(e)?;
-            if v > 52 {
-                return Err(SpecError::at(
-                    e.line,
-                    format!("quant_bits must be in 0..=52 (0 = off), got {v}"),
-                ));
-            }
-            v as u32
+    }
+    if let Some((e, p)) = nonzero("dead_coupler_p")? {
+        add(e, FaultKind::DeadCoupler { p })?;
+    }
+    if let Some((e, std)) = nonzero("thermal_drift_std")? {
+        add(e, FaultKind::ThermalDrift { std })?;
+    }
+    if let Some(e) = s.get("quant_bits") {
+        let bits = int_value(e)?;
+        if bits != 0 {
+            add(e, FaultKind::PhaseQuantization { bits })?;
         }
-    };
-    let mut scenario = FaultScenario::new(seed);
-    if dead_p > 0.0 {
-        scenario = scenario.with(FaultKind::DeadShifter { p: dead_p });
     }
-    if stuck_p > 0.0 {
-        scenario = scenario.with(FaultKind::StuckShifter {
-            p: stuck_p,
-            theta: stuck_theta,
-        });
-    }
-    if coupler_p > 0.0 {
-        scenario = scenario.with(FaultKind::DeadCoupler { p: coupler_p });
-    }
-    if drift > 0.0 {
-        scenario = scenario.with(FaultKind::ThermalDrift { std: drift });
-    }
-    if bits > 0 {
-        scenario = scenario.with(FaultKind::PhaseQuantization { bits });
-    }
-    Ok(if scenario.is_empty() {
-        None
-    } else {
-        Some(scenario)
-    })
+    let scenario = kinds
+        .into_iter()
+        .fold(FaultScenario::new(seed), FaultScenario::with);
+    Ok((!scenario.is_empty()).then_some(scenario))
 }
 
 fn build_topology(s: &Section) -> Result<TopologySpec, SpecError> {
@@ -608,7 +529,7 @@ fn build_topology(s: &Section) -> Result<TopologySpec, SpecError> {
     let kind_entry = s.require("kind")?;
     let kind = str_value(kind_entry)?;
     let k_entry = s.require("k")?;
-    let k = usize_value(k_entry)?;
+    let k = int_value(k_entry)?;
     if k < 2 {
         return Err(SpecError::at(
             k_entry.line,
@@ -644,7 +565,7 @@ fn build_topology(s: &Section) -> Result<TopologySpec, SpecError> {
         "dense" => {
             reject_key("block")?;
             let b_entry = s.require("blocks")?;
-            let blocks = usize_value(b_entry)?;
+            let blocks = int_value(b_entry)?;
             if blocks == 0 {
                 return Err(SpecError::at(b_entry.line, "blocks must be ≥ 1"));
             }
@@ -674,76 +595,18 @@ fn build_topology(s: &Section) -> Result<TopologySpec, SpecError> {
     }
 }
 
-/// Parses one `block = "dc_start | coupler flags | permutation"` entry.
+/// Parses one `block = "dc_start | coupler flags | permutation"` entry
+/// through the shared block parser ([`codec::mesh_block`]).
 fn parse_block(e: &Entry, k: usize) -> Result<MeshBlock, SpecError> {
     let text = str_value(e)?;
-    let parts: Vec<&str> = text.split('|').collect();
-    if parts.len() != 3 {
+    let [dc_start, flags, perm] = text.split('|').collect::<Vec<_>>()[..] else {
         return Err(SpecError::at(
             e.line,
             "block must be \"dc_start | coupler flags | permutation\" (two `|` separators)",
         ));
-    }
-    let dc_start: usize = parts[0].trim().parse().map_err(|_| {
-        SpecError::at(
-            e.line,
-            format!("block dc_start must be 0 or 1, got `{}`", parts[0].trim()),
-        )
-    })?;
-    if dc_start > 1 {
-        return Err(SpecError::at(
-            e.line,
-            format!("block dc_start must be 0 or 1, got {dc_start}"),
-        ));
-    }
-    let mut couplers = Vec::new();
-    for c in parts[1].chars() {
-        match c {
-            '0' => couplers.push(false),
-            '1' => couplers.push(true),
-            c if c.is_whitespace() => {}
-            c => {
-                return Err(SpecError::at(
-                    e.line,
-                    format!("coupler flags must be 0/1 digits, got `{c}`"),
-                ))
-            }
-        }
-    }
-    let slots = MeshBlock::coupler_slots(k, dc_start);
-    if couplers.len() != slots {
-        return Err(SpecError::at(
-            e.line,
-            format!(
-                "block has {} coupler flags, k = {k} with dc_start = {dc_start} needs {slots}",
-                couplers.len()
-            ),
-        ));
-    }
-    let image = parts[2]
-        .split_whitespace()
-        .map(|t| {
-            t.parse::<usize>().map_err(|_| {
-                SpecError::at(
-                    e.line,
-                    format!("permutation entries must be integers, got `{t}`"),
-                )
-            })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    if image.len() != k {
-        return Err(SpecError::at(
-            e.line,
-            format!("permutation lists {} wires, k = {k}", image.len()),
-        ));
-    }
-    let perm = Permutation::from_vec(image)
-        .map_err(|err| SpecError::at(e.line, format!("invalid permutation: {err}")))?;
-    Ok(MeshBlock {
-        dc_start,
-        couplers,
-        perm,
-    })
+    };
+    codec::mesh_block(k, dc_start.trim(), flags, perm.split_whitespace())
+        .map_err(|m| SpecError::at(e.line, format!("block \"{text}\": {m}")))
 }
 
 #[cfg(test)]
@@ -894,6 +757,16 @@ block = "1 | 1 | 0 1 2 3"
         ))
         .unwrap_err();
         assert!(err.message.contains("coupler flags"), "{err}");
+        for (block, needle) in [
+            ("2 | 1 | 0 1 2 3", "dc_start must be 0 or 1"),
+            ("0 | 1x | 0 1 2 3", "0/1 digits"),
+            ("0 | 11 | 0 1 2", "permutation size mismatch"),
+            ("-1 | 11 | 0 1 2 3", "expected an integer (usize)"),
+        ] {
+            let topology = format!("kind = \"custom\"\nk = 4\nblock = \"{block}\"");
+            let err = DeviceSpec::parse(&minimal(&topology)).unwrap_err();
+            assert!(err.message.contains(needle), "{err}");
+        }
         let bad_pdk = "[device]\nname = \"d\"\n[pdk]\nname = \"lab\"\nps_um2 = 0\ndc_um2 = 1\ncr_um2 = 1\n[topology]\nkind = \"mzi\"\nk = 2\n";
         let err = DeviceSpec::parse(bad_pdk).unwrap_err();
         assert!(err.message.contains("must be positive"), "{err}");

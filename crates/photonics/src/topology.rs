@@ -32,6 +32,39 @@ impl MeshBlock {
         (k - dc_start) / 2
     }
 
+    /// The rules every block of a `k`-port mesh obeys, wherever it comes
+    /// from: `k ≥ 2`, `dc_start` ∈ {0, 1}, one coupler flag per slot and a
+    /// permutation of exactly `k` wires (bijective by construction of
+    /// [`Permutation`]). Checked in this order, so no slot arithmetic runs
+    /// on an invalid `k` or `dc_start`.
+    ///
+    /// # Errors
+    ///
+    /// Names the first violated rule.
+    pub fn check(&self, k: usize) -> Result<(), String> {
+        if k < 2 {
+            return Err(format!("k must be ≥ 2, got {k}"));
+        }
+        if self.dc_start > 1 {
+            return Err(format!("dc_start must be 0 or 1, got {}", self.dc_start));
+        }
+        let slots = Self::coupler_slots(k, self.dc_start);
+        if self.couplers.len() != slots {
+            return Err(format!(
+                "{} coupler flags, k = {k} with dc_start = {} needs {slots}",
+                self.couplers.len(),
+                self.dc_start
+            ));
+        }
+        if self.perm.len() != k {
+            return Err(format!(
+                "permutation size mismatch: {} wires, k = {k}",
+                self.perm.len()
+            ));
+        }
+        Ok(())
+    }
+
     /// Number of placed couplers.
     pub fn dc_count(&self) -> usize {
         self.couplers.iter().filter(|&&c| c).count()
@@ -91,16 +124,13 @@ impl BlockMeshTopology {
     ///
     /// # Panics
     ///
-    /// Panics if any block's permutation or coupler flags do not fit `k`.
+    /// Panics with the block's index if any block fails
+    /// [`MeshBlock::check`].
     pub fn new(k: usize, blocks: Vec<MeshBlock>) -> Self {
         for (i, b) in blocks.iter().enumerate() {
-            assert_eq!(b.perm.len(), k, "block {i} permutation size mismatch");
-            assert!(b.dc_start <= 1, "block {i} dc_start must be 0 or 1");
-            assert_eq!(
-                b.couplers.len(),
-                MeshBlock::coupler_slots(k, b.dc_start),
-                "block {i} coupler flags do not fit"
-            );
+            if let Err(msg) = b.check(k) {
+                panic!("block {i}: {msg}");
+            }
         }
         Self { k, blocks }
     }

@@ -229,6 +229,35 @@ fn faulted_plan_compiles_from_checkpoint_bit_identical() {
     std::fs::remove_file(&path).ok();
 }
 
+/// `fixtures/checkpoint_v1.ckpt` was written by `Checkpoint::to_text`
+/// before the device-spec and checkpoint parsers moved onto one shared
+/// codec: a k = 2 topology backend whose second `ublock` has no coupler
+/// slots (`-`), and all five fault kinds. v1 must stay frozen: the file
+/// parses, rewrites byte for byte, instantiates, and keeps its fault
+/// fingerprint.
+#[test]
+fn frozen_v1_fixture_round_trips_byte_for_byte() {
+    let text = include_str!("fixtures/checkpoint_v1.ckpt");
+    let ckpt = Checkpoint::parse(text).unwrap();
+    assert_eq!(ckpt.to_text(), text);
+    assert!(text.contains("\nublock 1 - 0 1\n"));
+    ckpt.instantiate().unwrap();
+    let want = FaultScenario::new(11)
+        .with(FaultKind::DeadShifter { p: 0.125 })
+        .with(FaultKind::StuckShifter {
+            p: 0.0625,
+            theta: 0.5,
+        })
+        .with(FaultKind::DeadCoupler { p: 0.25 })
+        .with(FaultKind::ThermalDrift { std: 0.03125 })
+        .with(FaultKind::PhaseQuantization { bits: 6 });
+    assert_eq!(
+        ckpt.fault.as_ref().map(FaultScenario::fingerprint),
+        Some(want.fingerprint())
+    );
+    assert_eq!(want.fingerprint(), 0xfd25_34aa_fad9_1300);
+}
+
 #[test]
 fn corrupted_and_truncated_files_are_rejected() {
     let (_, _, ckpt) = trained(&Backend::Mzi { k: 4 }, 3, None);

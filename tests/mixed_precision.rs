@@ -16,6 +16,7 @@ use adept_bench::conv_im2col_gemm;
 use adept_infer::{ExecPlan, PlanPrecision};
 use adept_nn::models::{proxy_cnn, Backend, InputShape};
 use adept_nn::ParamStore;
+use adept_photonics::codec::{fnv1a, FNV_OFFSET};
 use adept_tensor::{
     batched_matmul_ragged_into, Conv2dGeometry, ConvLanes, DirectConv, Element, GemmSpec, Tile,
 };
@@ -55,14 +56,8 @@ fn bytes_allocated<R>(f: impl FnOnce() -> R) -> (usize, R) {
 
 /// FNV-1a over the logits' bit patterns: any single-bit drift changes it.
 fn fnv1a_bits(xs: &[f64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &x in xs {
-        for b in x.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    xs.iter()
+        .fold(FNV_OFFSET, |h, x| fnv1a(h, &x.to_bits().to_le_bytes()))
 }
 
 /// Deterministic pseudo-input covering positive and negative values.

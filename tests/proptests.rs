@@ -2,11 +2,14 @@
 
 use adept::spl;
 use adept_linalg::{polar_orthogonal, svd, Permutation};
-use adept_photonics::{BlockMeshTopology, DeviceCount, Pdk};
+use adept_nn::models::{proxy_cnn, Backend, InputShape};
+use adept_nn::{Checkpoint, ModelArch, ParamStore};
+use adept_photonics::codec::{fnv1a, LineError, FNV_OFFSET};
+use adept_photonics::{BlockMeshTopology, DeviceCount, DeviceSpec, FaultKind, FaultScenario, Pdk};
 use adept_tensor::{broadcast_shapes, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 fn perm_strategy(n: usize) -> impl Strategy<Value = Permutation> {
     Just(n).prop_perturb(move |n, mut rng| {
@@ -182,5 +185,96 @@ proptest! {
         prop_assert_eq!(s.dc, a.1 + b.1);
         prop_assert_eq!(s.cr, a.2 + b.2);
         prop_assert_eq!(s.blocks, a.3 + b.3);
+    }
+}
+
+/// 1–3 random line edits of `text`: delete, duplicate, swap or truncate a
+/// line, or replace one of its tokens with a hostile value.
+fn mutate(text: &str, rng: &mut StdRng) -> String {
+    let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+    for _ in 0..rng.gen_range(1..4) {
+        if lines.is_empty() {
+            break;
+        }
+        let i = rng.gen_range(0..lines.len());
+        match rng.gen_range(0..5) {
+            0 => drop(lines.remove(i)),
+            1 => lines.insert(i, lines[i].clone()),
+            2 => {
+                let j = rng.gen_range(0..lines.len());
+                lines.swap(i, j);
+            }
+            3 => {
+                let keep = rng.gen_range(0..lines[i].chars().count() + 1);
+                lines[i] = lines[i].chars().take(keep).collect();
+            }
+            _ => {
+                let mut tokens: Vec<&str> = lines[i].split_whitespace().collect();
+                if tokens.is_empty() {
+                    continue;
+                }
+                let t = rng.gen_range(0..tokens.len());
+                let hex = format!("{:016x}", rng.next_u64());
+                tokens[t] =
+                    ["0", "1", "-1", "18446744073709551615", &hex][rng.gen_range(0..5usize)];
+                lines[i] = tokens.join(" ");
+            }
+        }
+    }
+    lines.join("\n") + "\n"
+}
+
+/// `parse` must not panic on `text`, and its error must anchor to a line
+/// of `text` (0 = file-level).
+fn assert_rejects_cleanly<T, F>(text: &str, parse: fn(&str) -> Result<T, LineError<F>>) {
+    let outcome = std::panic::catch_unwind(|| parse(text).err().map(|e| (e.line, e.message)));
+    let err = outcome.unwrap_or_else(|_| panic!("parser panicked on\n{text}"));
+    if let Some((line, message)) = err {
+        let lines = text.lines().count();
+        prop_assert!(
+            line <= lines,
+            "error line {line} > {lines} ({message}) in\n{text}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn mutated_device_specs_never_panic(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/registry/devices");
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let text = std::fs::read_to_string(entry.unwrap().path()).unwrap();
+            assert_rejects_cleanly(&mutate(&text, &mut rng), DeviceSpec::parse);
+        }
+    }
+
+    /// A fresh capture of a tiny butterfly CNN with all five fault kinds.
+    /// Edits its records, then reseals the `end` checksum (FNV-1a is no
+    /// MAC) so every edit reaches the record parsers; one case in four
+    /// edits the sealed text instead.
+    #[test]
+    fn mutated_resealed_checkpoints_never_panic(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (backend, input) = (Backend::butterfly(4), InputShape::new(1, 3, 3));
+        let mut store = ParamStore::new();
+        let model = proxy_cnn(&mut store, input, 2, 2, &backend, 4);
+        let fault = FaultScenario::new(2)
+            .with(FaultKind::DeadShifter { p: 0.1 })
+            .with(FaultKind::StuckShifter { p: 0.2, theta: 1.5 })
+            .with(FaultKind::DeadCoupler { p: 0.3 })
+            .with(FaultKind::ThermalDrift { std: 0.01 })
+            .with(FaultKind::PhaseQuantization { bits: 5 });
+        let arch = ModelArch::ProxyCnn { input, channels: 2, classes: 2, seed: 4 };
+        let text = Checkpoint::capture(arch, &backend, &model, &store, 8, Some(&fault)).to_text();
+        let hostile = if rng.gen_bool(0.25) {
+            mutate(&text, &mut rng)
+        } else {
+            let body = mutate(&text[..=text.rfind("\nend ").unwrap()], &mut rng);
+            format!("{body}end {:016x}\n", fnv1a(FNV_OFFSET, body.as_bytes()))
+        };
+        assert_rejects_cleanly(&hostile, Checkpoint::parse);
     }
 }
