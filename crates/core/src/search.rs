@@ -19,7 +19,7 @@ use crate::supermesh::{
 };
 use adept_autodiff::{Graph, Var};
 use adept_datasets::{DatasetKind, SyntheticConfig};
-use adept_nn::layers::{cols_to_nchw, im2col_var_scratch, BatchNorm2d, Layer};
+use adept_nn::layers::{conv2d, BatchNorm2d, Layer};
 use adept_nn::optim::{Adam, CosineLr};
 use adept_nn::{ForwardCtx, ParamId, ParamStore};
 use adept_photonics::{block_count_bounds, Pdk};
@@ -273,7 +273,6 @@ struct SearchModel {
     g1: Conv2dGeometry,
     g2: Conv2dGeometry,
     pool: usize,
-    channels: usize,
     /// Patch-matrix scratch buffers reused across search steps.
     cols1: Tensor,
     cols2: Tensor,
@@ -347,7 +346,6 @@ impl SearchModel {
             g1,
             g2,
             pool,
-            channels: cfg.channels,
             cols1: Tensor::default(),
             cols2: Tensor::default(),
         }
@@ -383,17 +381,11 @@ impl SearchModel {
         let n = x.shape()[0];
         // conv1 → bn → relu
         let w1 = self.conv1.build(ctx, &fu, &fv);
-        let cols = im2col_var_scratch(x, self.g1, &mut self.cols1);
-        let y = w1.matmul(cols);
-        let y = cols_to_nchw(y, n, self.channels, self.g1.out_h(), self.g1.out_w());
-        let y = y.add(ctx.param(self.b1).reshape(&[self.channels, 1, 1]));
+        let y = conv2d(x, w1, ctx.param(self.b1), self.g1, &mut self.cols1);
         let y = self.bn1.forward(ctx, y).relu();
         // conv2 → bn → relu
         let w2 = self.conv2.build(ctx, &fu, &fv);
-        let cols = im2col_var_scratch(y, self.g2, &mut self.cols2);
-        let y = w2.matmul(cols);
-        let y = cols_to_nchw(y, n, self.channels, self.g2.out_h(), self.g2.out_w());
-        let y = y.add(ctx.param(self.b2).reshape(&[self.channels, 1, 1]));
+        let y = conv2d(y, w2, ctx.param(self.b2), self.g2, &mut self.cols2);
         let y = self.bn2.forward(ctx, y).relu();
         // pool → flatten → fc
         let mut pool = adept_nn::layers::AvgPool2d::new(self.pool);

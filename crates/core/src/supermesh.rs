@@ -12,16 +12,15 @@
 //! same layer-order prebuild drives fixed-topology and searched meshes
 //! alike.
 
-use adept_autodiff::{
-    batched_phase_rotate, batched_tile_product, batched_tile_product_grid, stack, Graph, Var,
-};
+use adept_autodiff::{batched_phase_rotate, Graph, Var};
 use adept_nn::mesh::{build_mesh_weight, prebuild_mesh_weights, MeshWeight};
+use adept_nn::onn::PtcTiles;
 use adept_nn::{next_weight_uid, ForwardCtx, ParamId, ParamStore};
 use adept_photonics::codec::{fnv1a, FNV_OFFSET};
 use adept_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::f64::consts::{FRAC_1_SQRT_2, PI};
+use std::f64::consts::FRAC_1_SQRT_2;
 
 /// STE scale of Eq. 14: `(2 − √2)/4`.
 pub const DC_STE_SCALE: f64 = (2.0 - std::f64::consts::SQRT_2) / 4.0;
@@ -499,18 +498,12 @@ fn frames_tag(frame_u: &MeshFrame<'_>, frame_v: &MeshFrame<'_>) -> u64 {
     tag
 }
 
-/// A search-time PTC-tiled weight: like `adept_nn::onn::PtcWeight` but the
-/// topology factors come from the shared SuperMesh frame.
+/// A search-time PTC-tiled weight: the same [`PtcTiles`] grid as
+/// `adept_nn::onn::PtcWeight`, but the topology factors come from the
+/// shared SuperMesh frame.
 pub struct SuperPtcWeight {
     uid: u64,
-    k: usize,
-    in_features: usize,
-    out_features: usize,
-    grid_rows: usize,
-    grid_cols: usize,
-    phases_u: Vec<ParamId>,
-    phases_v: Vec<ParamId>,
-    sigma: Vec<ParamId>,
+    tiles: PtcTiles,
 }
 
 /// A [`SuperPtcWeight`] bound to the step's SuperMesh frames — the
@@ -535,40 +528,19 @@ impl SuperPtcWeight {
         n_blocks: usize,
         seed: u64,
     ) -> Self {
-        let grid_rows = out_features.div_ceil(k);
-        let grid_cols = in_features.div_ceil(k);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut phases_u = Vec::new();
-        let mut phases_v = Vec::new();
-        let mut sigma = Vec::new();
-        let sig_bound = (6.0 * k as f64 / in_features.max(1) as f64).sqrt().min(2.0);
-        for tile in 0..grid_rows * grid_cols {
-            phases_u.push(store.register(
-                format!("{name}.u{tile}"),
-                Tensor::rand_uniform(&mut rng, &[n_blocks, k], -PI, PI),
-                1e-4,
-            ));
-            phases_v.push(store.register(
-                format!("{name}.v{tile}"),
-                Tensor::rand_uniform(&mut rng, &[n_blocks, k], -PI, PI),
-                1e-4,
-            ));
-            sigma.push(store.register(
-                format!("{name}.s{tile}"),
-                Tensor::rand_uniform(&mut rng, &[k], -sig_bound, sig_bound),
-                1e-4,
-            ));
-        }
-        Self {
-            uid: next_weight_uid(),
-            k,
+        let tiles = PtcTiles::register(
+            store,
+            name,
             in_features,
             out_features,
-            grid_rows,
-            grid_cols,
-            phases_u,
-            phases_v,
-            sigma,
+            k,
+            n_blocks,
+            n_blocks,
+            seed,
+        );
+        Self {
+            uid: next_weight_uid(),
+            tiles,
         }
     }
 
@@ -580,12 +552,7 @@ impl SuperPtcWeight {
 
     /// All parameter handles (phases and Σ).
     pub fn param_ids(&self) -> Vec<ParamId> {
-        self.phases_u
-            .iter()
-            .chain(&self.phases_v)
-            .chain(&self.sigma)
-            .copied()
-            .collect()
+        self.tiles.param_ids()
     }
 
     /// Materializes the `[out, in]` weight under the given frames.
@@ -641,34 +608,12 @@ impl SuperPtcWeight {
         frame_u: &MeshFrame<'g>,
         frame_v: &MeshFrame<'g>,
     ) -> Var<'g> {
-        let k = self.k;
-        let n_tiles = self.grid_rows * self.grid_cols;
-        let mut us_re_tiles = Vec::with_capacity(n_tiles);
-        let mut us_im_tiles = Vec::with_capacity(n_tiles);
-        let mut v_re_tiles = Vec::with_capacity(n_tiles);
-        let mut v_im_tiles = Vec::with_capacity(n_tiles);
-        for tile in 0..n_tiles {
-            let (u_re, u_im) = super_unitary(ctx, frame_u, ctx.param(self.phases_u[tile]), true);
-            let (v_re, v_im) = super_unitary(ctx, frame_v, ctx.param(self.phases_v[tile]), false);
-            let sig = ctx.param(self.sigma[tile]);
-            us_re_tiles.push(u_re.mul(sig));
-            us_im_tiles.push(u_im.mul(sig));
-            v_re_tiles.push(v_re);
-            v_im_tiles.push(v_im);
-        }
-        let full = batched_tile_product(
-            &us_re_tiles,
-            &us_im_tiles,
-            &v_re_tiles,
-            &v_im_tiles,
-            self.grid_rows,
-            self.grid_cols,
-        );
-        if self.grid_rows * k == self.out_features && self.grid_cols * k == self.in_features {
-            full
-        } else {
-            full.crop2d(self.out_features, self.in_features)
-        }
+        self.tiles.product_per_tile(ctx, |pu, pv| {
+            (
+                super_unitary(ctx, frame_u, pu, true),
+                super_unitary(ctx, frame_v, pv, false),
+            )
+        })
     }
 }
 
@@ -692,29 +637,11 @@ impl<'g> MeshWeight<'g> for BoundSuperWeight<'_, 'g> {
     /// Records `[stack, stack, U-walk, V-walk]` against the bound frames,
     /// then the Σ product and fused grid assembly.
     fn record(&self, ctx: &ForwardCtx<'g, '_>) -> Var<'g> {
-        let w = self.weight;
-        let k = w.k;
-        let n_tiles = w.grid_rows * w.grid_cols;
-        let pu: Vec<Var<'g>> = w.phases_u.iter().map(|&id| ctx.param(id)).collect();
-        let pv: Vec<Var<'g>> = w.phases_v.iter().map(|&id| ctx.param(id)).collect();
-        let su = stack(&pu); // [T, B, K]
-        let sv = stack(&pv);
-        let (u_re, u_im) = batched_super_unitary(ctx, self.frame_u, su, true);
-        let (v_re, v_im) = batched_super_unitary(ctx, self.frame_v, sv, false);
-        let sigs: Vec<Var<'g>> = w.sigma.iter().map(|&id| ctx.param(id)).collect();
-        let sig = stack(&sigs).reshape(&[n_tiles, 1, k]);
-        let us_re = u_re.mul(sig);
-        let us_im = u_im.mul(sig);
-        batched_tile_product_grid(
-            us_re,
-            us_im,
-            v_re,
-            v_im,
-            w.grid_rows,
-            w.grid_cols,
-            w.out_features,
-            w.in_features,
-        )
+        let tiles = &self.weight.tiles;
+        let (su, sv) = tiles.stacked_phases(ctx); // [T, B, K]
+        let u = batched_super_unitary(ctx, self.frame_u, su, true);
+        let v = batched_super_unitary(ctx, self.frame_v, sv, false);
+        tiles.product(ctx, u, v)
     }
 }
 

@@ -50,7 +50,11 @@
 //! checksum, `ublock`/`vblock` records parsed by [`codec::mesh_block`]
 //! against the shared block rules ([`MeshBlock::check`]: `k ≥ 2`,
 //! `dc_start` ∈ {0, 1}, one flag per coupler slot, a bijection of `k`
-//! wires), and fault records checked by [`FaultKind::check`].
+//! wires), the `backend` record's `k` held to the same [`codec::check_k`],
+//! and fault records checked by [`FaultKind::check`]. Every `model`
+//! dimension must be ≥ 1: a zero is a parse error, not a panic in the
+//! layer constructors [`Checkpoint::instantiate`] runs. (Huge dimensions
+//! are not bounded yet.)
 
 use crate::layers::{Layer, Sequential};
 use crate::models::{proxy_cnn, Backend, InputShape};
@@ -391,6 +395,13 @@ impl Checkpoint {
             ));
         }
         let nums = parse_usizes(line_no, &tokens[2..7])?;
+        let dims = ["in_c", "in_h", "in_w", "channels", "classes"];
+        if let Some((dim, _)) = dims.iter().zip(&nums).find(|(_, &n)| n == 0) {
+            return Err(CheckpointError::at(
+                line_no,
+                format!("model dimension `{dim}` must be ≥ 1, got 0"),
+            ));
+        }
         let arch = ModelArch::ProxyCnn {
             input: InputShape::new(nums[0], nums[1], nums[2]),
             channels: nums[3],
@@ -423,6 +434,9 @@ impl Checkpoint {
                     "expected `backend mzi <k>` or `backend topology <k> <u_blocks> <v_blocks>`",
                 )),
             };
+        // Blocks check k themselves; this catches an MZI backend and a
+        // topology without blocks.
+        codec::check_k(backend.k()).map_err(|m| CheckpointError::at(line_no, m))?;
 
         let (line_no, tokens) = cur.record("noise_seed line")?;
         if tokens.len() != 2 || tokens[0] != "noise_seed" {
@@ -914,15 +928,44 @@ mod tests {
                 "k must be ≥ 2, got 0",
                 "ublock ",
             ),
+            // The same rule without a block to check it: `instantiate`
+            // would divide by k when tiling the weights.
+            (
+                mesh.to_owned(),
+                "backend topology 0 0 0\n".to_owned(),
+                "k must be ≥ 2, got 0",
+                "backend ",
+            ),
+            (
+                mesh.to_owned(),
+                "backend mzi 0\n".to_owned(),
+                "k must be ≥ 2, got 0",
+                "backend ",
+            ),
         ];
-        for (from, to, want, at) in cases {
-            assert!(text.contains(&from), "fixture lost `{from}`");
-            let hostile = reseal(&text.replacen(&from, &to, 1));
+        let reject = |from: &str, to: &str, want: &str, at: &str| {
+            assert!(text.contains(from), "fixture lost `{from}`");
+            let hostile = reseal(&text.replacen(from, to, 1));
             let err = Checkpoint::parse(&hostile)
                 .err()
                 .unwrap_or_else(|| panic!("`{to}` must be rejected"));
             assert!(err.message.contains(want), "`{to}`: {err}");
             assert_eq!(err.line, line_of(&hostile, at), "`{to}`: {err}");
+        };
+        for (from, to, want, at) in cases {
+            reject(&from, &to, want, at);
+        }
+        // A zero model dimension would panic in `instantiate`'s layer
+        // constructors.
+        let model = line("model ");
+        for (i, dim) in ["in_c", "in_h", "in_w", "channels", "classes"]
+            .iter()
+            .enumerate()
+        {
+            let mut tokens: Vec<&str> = model.split_whitespace().collect();
+            tokens[2 + i] = "0";
+            let want = format!("model dimension `{dim}` must be ≥ 1, got 0");
+            reject(model, &tokens.join(" "), &want, "model ");
         }
     }
 

@@ -1,12 +1,15 @@
-//! Electronic (non-photonic) layers lowered onto the autodiff tape.
+//! Layers on the autodiff tape: the one [`Linear`] and the one [`Conv2d`],
+//! each over a [`Weight`] that is electronic, the MZI-ONN baseline or a
+//! photonic tensor core, plus the electronic batch norm, activations,
+//! pooling and [`Sequential`].
 
 use crate::lower::{LowerError, LoweredStep};
+use crate::mesh::MeshWeight;
+use crate::onn::Weight;
 use crate::param::{ForwardCtx, ParamId, ParamStore};
 use adept_autodiff::Var;
 use adept_photonics::DeviceCount;
 use adept_tensor::{col2im, Conv2dGeometry, Tensor};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// A trainable or stateless network layer.
 ///
@@ -36,7 +39,7 @@ pub trait Layer {
     /// The build engine ([`crate::mesh::prebuild_mesh_weights`]) collects
     /// these across a model and records them in this order before the
     /// forward pass; layers without photonic weights report none.
-    fn mesh_weights<'g>(&self) -> Vec<&dyn crate::mesh::MeshWeight<'g>> {
+    fn mesh_weights<'g>(&self) -> Vec<&dyn MeshWeight<'g>> {
         Vec::new()
     }
 
@@ -73,44 +76,6 @@ pub trait Layer {
     }
 }
 
-impl<L: Layer + ?Sized> Layer for Box<L> {
-    fn forward<'g>(&mut self, ctx: &ForwardCtx<'g, '_>, x: Var<'g>) -> Var<'g> {
-        (**self).forward(ctx, x)
-    }
-
-    fn param_ids(&self) -> Vec<ParamId> {
-        (**self).param_ids()
-    }
-
-    fn set_phase_noise(&mut self, std: f64) {
-        (**self).set_phase_noise(std);
-    }
-
-    fn device_count(&self) -> Option<DeviceCount> {
-        (**self).device_count()
-    }
-
-    fn mesh_weights<'g>(&self) -> Vec<&dyn crate::mesh::MeshWeight<'g>> {
-        (**self).mesh_weights()
-    }
-
-    fn state(&self) -> Vec<(String, Vec<f64>)> {
-        (**self).state()
-    }
-
-    fn load_state(&mut self, state: &[(String, Vec<f64>)]) -> Result<(), String> {
-        (**self).load_state(state)
-    }
-
-    fn lower<'g>(
-        &self,
-        ctx: &ForwardCtx<'g, '_>,
-        out: &mut Vec<LoweredStep>,
-    ) -> Result<(), LowerError> {
-        (**self).lower(ctx, out)
-    }
-}
-
 /// A sequence of layers applied in order.
 #[derive(Default)]
 pub struct Sequential {
@@ -123,19 +88,10 @@ impl Sequential {
         Self::default()
     }
 
-    /// Appends a layer. Accepts any [`Layer`] value directly — boxing
-    /// happens internally, so `seq.push(Relu)` just works. An already
-    /// boxed `Box<dyn Layer>` also compiles (via the blanket
-    /// `Layer for Box<L>` impl) but pays an extra indirection; prefer
-    /// [`Sequential::push_boxed`] for those.
+    /// Appends a layer (boxing happens internally, so `seq.push(Relu)`
+    /// just works).
     pub fn push(&mut self, layer: impl Layer + 'static) {
         self.layers.push(Box::new(layer));
-    }
-
-    /// Appends an already-boxed layer without re-boxing it (the form the
-    /// model builders use for backend-erased layers).
-    pub fn push_boxed(&mut self, layer: Box<dyn Layer>) {
-        self.layers.push(layer);
     }
 
     /// Number of layers.
@@ -172,7 +128,7 @@ impl Layer for Sequential {
         self.layers.iter().find_map(|l| l.device_count())
     }
 
-    fn mesh_weights<'g>(&self) -> Vec<&dyn crate::mesh::MeshWeight<'g>> {
+    fn mesh_weights<'g>(&self) -> Vec<&dyn MeshWeight<'g>> {
         self.layers.iter().flat_map(|l| l.mesh_weights()).collect()
     }
 
@@ -242,14 +198,14 @@ impl Layer for Flatten {
     }
 }
 
-/// Dense affine layer `y = x·Wᵀ + b`.
+/// Affine layer `y = x·Wᵀ + b` over any [`Weight`] realization.
 pub struct Linear {
-    w: ParamId,
-    b: ParamId,
+    weight: Weight,
+    bias: ParamId,
 }
 
 impl Linear {
-    /// Registers a Kaiming-initialized linear layer.
+    /// Registers a Kaiming-initialized electronic layer.
     pub fn new(
         store: &mut ParamStore,
         name: &str,
@@ -257,24 +213,48 @@ impl Linear {
         out_features: usize,
         seed: u64,
     ) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let w = Tensor::kaiming_uniform(&mut rng, &[out_features, in_features], in_features);
+        let weight = Weight::dense(store, name, in_features, out_features, seed, None);
+        Self::with_weight(store, name, out_features, weight)
+    }
+
+    /// Registers the bias `{name}.b` of a layer over an already registered
+    /// `out_features`-row weight (see [`crate::models::Backend::linear`]).
+    pub fn with_weight(
+        store: &mut ParamStore,
+        name: &str,
+        out_features: usize,
+        weight: Weight,
+    ) -> Self {
         Self {
-            w: store.register(format!("{name}.w"), w, 1e-4),
-            b: store.register(format!("{name}.b"), Tensor::zeros(&[out_features]), 0.0),
+            weight,
+            bias: store.register(format!("{name}.b"), Tensor::zeros(&[out_features]), 0.0),
         }
     }
 }
 
 impl Layer for Linear {
     fn forward<'g>(&mut self, ctx: &ForwardCtx<'g, '_>, x: Var<'g>) -> Var<'g> {
-        let w = ctx.param(self.w);
-        let b = ctx.param(self.b);
+        let w = self.weight.build(ctx);
+        let b = ctx.param(self.bias);
         x.matmul(w.transpose()).add(b)
     }
 
     fn param_ids(&self) -> Vec<ParamId> {
-        vec![self.w, self.b]
+        let mut ids = self.weight.param_ids();
+        ids.push(self.bias);
+        ids
+    }
+
+    fn set_phase_noise(&mut self, std: f64) {
+        self.weight.set_phase_noise(std);
+    }
+
+    fn device_count(&self) -> Option<DeviceCount> {
+        self.weight.device_count()
+    }
+
+    fn mesh_weights<'g>(&self) -> Vec<&dyn MeshWeight<'g>> {
+        self.weight.mesh_weights()
     }
 
     fn lower<'g>(
@@ -282,28 +262,30 @@ impl Layer for Linear {
         ctx: &ForwardCtx<'g, '_>,
         out: &mut Vec<LoweredStep>,
     ) -> Result<(), LowerError> {
-        // The tape multiplies by the materialized `w.transpose()` node
-        // value — capture exactly that tensor so GEMMs see the same bits.
+        // The weight's tape value — consuming a prebuilt PTC variable and
+        // any noise draws, so the frozen matrix is bit-identical to the
+        // forward pass's. The tape multiplies by its transpose, so capture
+        // exactly that tensor.
         out.push(LoweredStep::Linear {
-            w_t: ctx.store.value(self.w).transpose(),
-            bias: ctx.store.value(self.b).clone(),
+            w_t: self.weight.build(ctx).value().transpose(),
+            bias: ctx.store.value(self.bias).clone(),
         });
         Ok(())
     }
 }
 
-/// 2-D convolution via `im2col` lowering (dense electronic weights).
+/// 2-D convolution over any [`Weight`] realization of its
+/// `[out_channels, C·k·k]` matrix (see [`conv2d`]).
 pub struct Conv2d {
-    w: ParamId,
-    b: ParamId,
+    weight: Weight,
+    bias: ParamId,
     geom: Conv2dGeometry,
-    out_channels: usize,
     /// Patch-matrix scratch reused across training steps.
     scratch: Tensor,
 }
 
 impl Conv2d {
-    /// Registers a convolution with square kernels.
+    /// Registers a Kaiming-initialized electronic convolution.
     pub fn new(
         store: &mut ParamStore,
         name: &str,
@@ -311,44 +293,52 @@ impl Conv2d {
         out_channels: usize,
         seed: u64,
     ) -> Self {
-        let fan_in = geom.col_rows();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let w = Tensor::kaiming_uniform(&mut rng, &[out_channels, fan_in], fan_in);
-        Self {
-            w: store.register(format!("{name}.w"), w, 1e-4),
-            b: store.register(format!("{name}.b"), Tensor::zeros(&[out_channels]), 0.0),
-            geom,
-            out_channels,
-            scratch: Tensor::default(),
-        }
+        let weight = Weight::dense(store, name, geom.col_rows(), out_channels, seed, None);
+        Self::with_weight(store, name, geom, out_channels, weight)
     }
 
-    /// Convolution geometry.
-    pub fn geometry(&self) -> Conv2dGeometry {
-        self.geom
+    /// Registers the bias `{name}.b` of a convolution over an already
+    /// registered `[out_channels, C·k·k]` weight (see
+    /// [`crate::models::Backend::conv`]).
+    pub fn with_weight(
+        store: &mut ParamStore,
+        name: &str,
+        geom: Conv2dGeometry,
+        out_channels: usize,
+        weight: Weight,
+    ) -> Self {
+        Self {
+            weight,
+            bias: store.register(format!("{name}.b"), Tensor::zeros(&[out_channels]), 0.0),
+            geom,
+            scratch: Tensor::default(),
+        }
     }
 }
 
 impl Layer for Conv2d {
     fn forward<'g>(&mut self, ctx: &ForwardCtx<'g, '_>, x: Var<'g>) -> Var<'g> {
-        let w = ctx.param(self.w);
-        let b = ctx.param(self.b);
-        let cols = im2col_var_scratch(x, self.geom, &mut self.scratch);
-        let y = w.matmul(cols); // [OC, N·OH·OW]
-        let n = x.shape()[0];
-        let y = cols_to_nchw(
-            y,
-            n,
-            self.out_channels,
-            self.geom.out_h(),
-            self.geom.out_w(),
-        );
-        let b3 = b.reshape(&[self.out_channels, 1, 1]);
-        y.add(b3)
+        let w = self.weight.build(ctx);
+        let b = ctx.param(self.bias);
+        conv2d(x, w, b, self.geom, &mut self.scratch)
     }
 
     fn param_ids(&self) -> Vec<ParamId> {
-        vec![self.w, self.b]
+        let mut ids = self.weight.param_ids();
+        ids.push(self.bias);
+        ids
+    }
+
+    fn set_phase_noise(&mut self, std: f64) {
+        self.weight.set_phase_noise(std);
+    }
+
+    fn device_count(&self) -> Option<DeviceCount> {
+        self.weight.device_count()
+    }
+
+    fn mesh_weights<'g>(&self) -> Vec<&dyn MeshWeight<'g>> {
+        self.weight.mesh_weights()
     }
 
     fn lower<'g>(
@@ -356,23 +346,35 @@ impl Layer for Conv2d {
         ctx: &ForwardCtx<'g, '_>,
         out: &mut Vec<LoweredStep>,
     ) -> Result<(), LowerError> {
+        let w = self.weight.build(ctx).value();
         out.push(LoweredStep::Conv2d {
-            w: ctx.store.value(self.w).clone(),
-            bias: ctx.store.value(self.b).clone(),
+            out_channels: w.shape()[0],
+            w,
+            bias: ctx.store.value(self.bias).clone(),
             geom: self.geom,
-            out_channels: self.out_channels,
         });
         Ok(())
     }
 }
 
-/// Differentiable `im2col` node (backward is `col2im`).
-pub fn im2col_var<'g>(x: Var<'g>, geom: Conv2dGeometry) -> Var<'g> {
-    let mut fresh = Tensor::default();
-    im2col_var_scratch(x, geom, &mut fresh)
+/// The tape convolution `w ⊛ x + b` over NCHW input: `im2col` into
+/// `scratch`, one `[OC, C·k·k] × [C·k·k, N·OH·OW]` GEMM, the reorder to
+/// `[N, OC, OH, OW]`, and the per-channel bias.
+pub fn conv2d<'g>(
+    x: Var<'g>,
+    w: Var<'g>,
+    bias: Var<'g>,
+    geom: Conv2dGeometry,
+    scratch: &mut Tensor,
+) -> Var<'g> {
+    let oc = w.shape()[0];
+    let cols = im2col_var_scratch(x, geom, scratch);
+    let y = cols_to_nchw(w.matmul(cols), x.shape()[0], oc, geom.out_h(), geom.out_w());
+    y.add(bias.reshape(&[oc, 1, 1]))
 }
 
-/// Differentiable `im2col` node writing into a reusable `scratch` buffer.
+/// Differentiable `im2col` node (backward is `col2im`) writing into a
+/// reusable `scratch` buffer.
 ///
 /// The unrolled patch matrix is the largest per-step allocation of a
 /// convolution layer. Each layer keeps one scratch tensor across training
@@ -381,7 +383,7 @@ pub fn im2col_var<'g>(x: Var<'g>, geom: Conv2dGeometry) -> Var<'g> {
 /// [`adept_tensor::im2col_into`] fills it in place without allocating.
 /// After the call, `scratch` and the tape node share the same storage
 /// (a refcount bump, not a copy).
-pub fn im2col_var_scratch<'g>(x: Var<'g>, geom: Conv2dGeometry, scratch: &mut Tensor) -> Var<'g> {
+fn im2col_var_scratch<'g>(x: Var<'g>, geom: Conv2dGeometry, scratch: &mut Tensor) -> Var<'g> {
     let input = x.value();
     let n = input.shape()[0];
     let mut cols = std::mem::take(scratch);
@@ -395,7 +397,7 @@ pub fn im2col_var_scratch<'g>(x: Var<'g>, geom: Conv2dGeometry, scratch: &mut Te
 }
 
 /// Reorders a `[OC, N·P]` column matrix into NCHW `[N, OC, OH, OW]`.
-pub fn cols_to_nchw<'g>(y: Var<'g>, n: usize, oc: usize, oh: usize, ow: usize) -> Var<'g> {
+fn cols_to_nchw<'g>(y: Var<'g>, n: usize, oc: usize, oh: usize, ow: usize) -> Var<'g> {
     let p = oh * ow;
     let mut positions = Vec::with_capacity(n * oc * p);
     for ni in 0..n {
@@ -800,6 +802,7 @@ mod tests {
     use super::*;
     use adept_autodiff::{check_gradients, Graph};
     use adept_tensor::im2col;
+    use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
     fn linear_forward_shape_and_grad() {
@@ -861,7 +864,7 @@ mod tests {
         let w = Tensor::linspace(0.5, -0.5, 9).reshape(&[1, 9]);
         check_gradients(
             |g, vars| {
-                let cols = im2col_var(vars[0], geom);
+                let cols = im2col_var_scratch(vars[0], geom, &mut Tensor::default());
                 let y = Var::matmul(vars[1], cols);
                 let _ = g;
                 y.square().sum()

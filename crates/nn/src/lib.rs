@@ -4,19 +4,22 @@
 //!
 //! * [`ParamStore`]/[`ForwardCtx`] — parameter registry bridging persistent
 //!   weights to the per-step autodiff tape;
-//! * [`layers`] — electronic layers (Conv2d, BatchNorm2d, ReLU, pooling,
-//!   Linear, Flatten) lowered onto the tape;
-//! * [`onn`] — photonic layers: [`onn::PtcWeight`] materializes a weight
-//!   matrix from `K×K` tiles `Re(U·Σ·V)` with block-mesh unitaries
-//!   (paper Eq. 1–2) built by [`onn::batched_tile_unitary`] — all `T`
-//!   tiles' phases stacked into `[T, B, K]` and every mesh block applied
-//!   to the whole `[T, K, K]` stack at once, so the tape holds `O(B)`
-//!   nodes per mesh instead of `O(T·B)` per-tile chains;
-//!   [`onn::OnnLinear`]/[`onn::OnnConv2d`] use it, and [`onn::MziLinear`]
-//!   is the universal MZI-ONN baseline with
-//!   decompose–perturb–reconstruct phase-noise simulation;
+//! * [`layers`] — the one [`layers::Linear`] and the one [`layers::Conv2d`],
+//!   each over a [`onn::Weight`], plus BatchNorm2d, ReLU, pooling, Flatten
+//!   and [`layers::Sequential`], lowered onto the tape;
+//! * [`onn`] — weight realizations: [`onn::Weight`] is a dense matrix
+//!   (electronic, or the universal MZI-ONN baseline whose
+//!   [`onn::MziMesh`] simulates phase noise by decompose–perturb–
+//!   reconstruct) or a [`onn::PtcWeight`], which materializes the matrix
+//!   from `K×K` tiles `Re(U·Σ·V)` with block-mesh unitaries (paper
+//!   Eq. 1–2). [`onn::PtcTiles`] is the tile grid it shares with the
+//!   search-time SuperMesh weight; [`onn::batched_tile_unitary`] stacks
+//!   all `T` tiles' phases into `[T, B, K]` and applies every mesh block
+//!   to the whole `[T, K, K]` stack at once, so the tape holds `O(B)` nodes
+//!   per mesh instead of `O(T·B)` per-tile chains;
 //! * [`models`] — the paper's proxy 2-layer CNN, LeNet-5 and VGG-8, all
-//!   parametrized by a photonic backend;
+//!   parametrized by a [`models::Backend`], whose `conv` and `linear`
+//!   build every photonic layer;
 //! * [`optim`] — Adam/SGD with cosine learning-rate schedule;
 //! * [`train`] — training/eval loops including variation-aware training
 //!   (Gaussian phase noise injected during training, paper §4.1) and

@@ -106,7 +106,7 @@ pub fn prebuild_mesh_weights<'g>(ctx: &ForwardCtx<'g, '_>, weights: &[&dyn MeshW
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::onn::{OnnLinear, PtcWeight};
+    use crate::onn::PtcWeight;
     use crate::param::ParamStore;
     use adept_autodiff::Graph;
     use adept_photonics::BlockMeshTopology;
@@ -117,9 +117,9 @@ mod tests {
         let mut store = ParamStore::new();
         let topo = BlockMeshTopology::butterfly(4);
         // Ragged 6×10 weight exercises cropped edge tiles.
-        let layers: Vec<OnnLinear> = (0..3)
+        let weights: Vec<PtcWeight> = (0..3)
             .map(|i| {
-                OnnLinear::new(
+                PtcWeight::new(
                     &mut store,
                     &format!("fc{i}"),
                     10,
@@ -134,14 +134,10 @@ mod tests {
             let graph = Graph::new();
             let ctx = ForwardCtx::new(&graph, &store, true, 3);
             if prebuild {
-                let weights: Vec<&dyn MeshWeight<'_>> =
-                    layers.iter().map(|l| &l.weight as _).collect();
-                prebuild_mesh_weights(&ctx, &weights);
+                let dyns: Vec<&dyn MeshWeight<'_>> = weights.iter().map(|w| w as _).collect();
+                prebuild_mesh_weights(&ctx, &dyns);
             }
-            let vals: Vec<Tensor> = layers
-                .iter()
-                .map(|l| l.weight.build(&ctx).value())
-                .collect();
+            let vals: Vec<Tensor> = weights.iter().map(|w| w.build(&ctx).value()).collect();
             (graph.len(), vals)
         };
 
@@ -157,13 +153,13 @@ mod tests {
     fn prebuilt_cache_is_consumed_once() {
         let mut store = ParamStore::new();
         let topo = BlockMeshTopology::butterfly(4);
-        let layer = OnnLinear::new(&mut store, "fc", 4, 4, topo.clone(), topo, 7);
+        let weight = PtcWeight::new(&mut store, "fc", 4, 4, topo.clone(), topo, 7);
         let graph = Graph::new();
         let ctx = ForwardCtx::new(&graph, &store, true, 0);
-        prebuild_mesh_weights(&ctx, &[&layer.weight]);
-        let first = layer.weight.build(&ctx);
+        prebuild_mesh_weights(&ctx, &[&weight]);
+        let first = weight.build(&ctx);
         let len_after_first = graph.len();
-        let second = layer.weight.build(&ctx);
+        let second = weight.build(&ctx);
         assert_eq!(
             first.value().as_slice(),
             second.value().as_slice(),

@@ -9,10 +9,8 @@
 //! profiles shrink channel counts so the reproduction runs on CPU in
 //! reasonable time; the structure is unchanged.
 
-use crate::layers::{
-    AvgPool2d, BatchNorm2d, Conv2d, Flatten, Layer, Linear, MaxPool2d, Relu, Sequential,
-};
-use crate::onn::{MziConv2d, MziLinear, OnnConv2d, OnnLinear};
+use crate::layers::{AvgPool2d, BatchNorm2d, Conv2d, Flatten, Linear, MaxPool2d, Relu, Sequential};
+use crate::onn::{MziMesh, PtcWeight, Weight};
 use crate::param::ParamStore;
 use adept_photonics::BlockMeshTopology;
 use adept_tensor::Conv2dGeometry;
@@ -79,41 +77,48 @@ impl Backend {
         }
     }
 
-    fn conv(
+    /// A convolution whose `[out_channels, C·k·k]` weight this backend
+    /// realizes — the way to build a photonic conv layer.
+    pub fn conv(
         &self,
         store: &mut ParamStore,
         name: &str,
         geom: Conv2dGeometry,
         out_channels: usize,
         seed: u64,
-    ) -> Box<dyn Layer> {
-        match self {
-            Backend::Mzi { k } => {
-                Box::new(MziConv2d::new(store, name, geom, out_channels, *k, seed))
-            }
-            Backend::Topology { u, v } => Box::new(OnnConv2d::new(
-                store,
-                name,
-                geom,
-                out_channels,
-                u.clone(),
-                v.clone(),
-                seed,
-            )),
-        }
+    ) -> Conv2d {
+        let weight = self.weight(store, name, geom.col_rows(), out_channels, seed);
+        Conv2d::with_weight(store, name, geom, out_channels, weight)
     }
 
-    fn linear(
+    /// A linear layer whose `[out_f, in_f]` weight this backend realizes —
+    /// the way to build a photonic linear layer.
+    pub fn linear(
         &self,
         store: &mut ParamStore,
         name: &str,
         in_f: usize,
         out_f: usize,
         seed: u64,
-    ) -> Box<dyn Layer> {
+    ) -> Linear {
+        let weight = self.weight(store, name, in_f, out_f, seed);
+        Linear::with_weight(store, name, out_f, weight)
+    }
+
+    /// Registers one `[out_f, in_f]` weight realized by this backend.
+    fn weight(
+        &self,
+        store: &mut ParamStore,
+        name: &str,
+        in_f: usize,
+        out_f: usize,
+        seed: u64,
+    ) -> Weight {
         match self {
-            Backend::Mzi { k } => Box::new(MziLinear::new(store, name, in_f, out_f, *k, seed)),
-            Backend::Topology { u, v } => Box::new(OnnLinear::new(
+            Backend::Mzi { k } => {
+                Weight::dense(store, name, in_f, out_f, seed, Some(MziMesh::new(*k)))
+            }
+            Backend::Topology { u, v } => Weight::Ptc(PtcWeight::new(
                 store,
                 name,
                 in_f,
@@ -175,11 +180,11 @@ pub fn proxy_cnn(
     let mut m = Sequential::new();
     let k = 3;
     let g1 = geom(input.channels, input.height, input.width, k, 1);
-    m.push_boxed(backend.conv(store, "conv1", g1, channels, seed));
+    m.push(backend.conv(store, "conv1", g1, channels, seed));
     m.push(BatchNorm2d::new(store, "bn1", channels));
     m.push(Relu);
     let g2 = geom(channels, g1.out_h(), g1.out_w(), k, 1);
-    m.push_boxed(backend.conv(store, "conv2", g2, channels, seed + 1));
+    m.push(backend.conv(store, "conv2", g2, channels, seed + 1));
     m.push(BatchNorm2d::new(store, "bn2", channels));
     m.push(Relu);
     // Pool down to a small map (paper uses Pool5 on 24×24 maps).
@@ -188,7 +193,7 @@ pub fn proxy_cnn(
     let fh = g2.out_h() / pool;
     let fw = g2.out_w() / pool;
     m.push(Flatten);
-    m.push_boxed(backend.linear(store, "fc", channels * fh * fw, classes, seed + 2));
+    m.push(backend.linear(store, "fc", channels * fh * fw, classes, seed + 2));
     m
 }
 
@@ -207,23 +212,23 @@ pub fn lenet5(
     let f2 = ((84.0 * scale).round() as usize).max(8);
     let mut m = Sequential::new();
     let g1 = geom(input.channels, input.height, input.width, 3, 1);
-    m.push_boxed(backend.conv(store, "c1", g1, c1, seed));
+    m.push(backend.conv(store, "c1", g1, c1, seed));
     m.push(BatchNorm2d::new(store, "bn1", c1));
     m.push(Relu);
     m.push(MaxPool2d::new(2));
     let (h1, w1) = (g1.out_h() / 2, g1.out_w() / 2);
     let g2 = geom(c1, h1, w1, 3, 0);
-    m.push_boxed(backend.conv(store, "c2", g2, c2, seed + 1));
+    m.push(backend.conv(store, "c2", g2, c2, seed + 1));
     m.push(BatchNorm2d::new(store, "bn2", c2));
     m.push(Relu);
     m.push(MaxPool2d::new(2));
     let (h2, w2) = (g2.out_h() / 2, g2.out_w() / 2);
     m.push(Flatten);
-    m.push_boxed(backend.linear(store, "f1", c2 * h2 * w2, f1, seed + 2));
+    m.push(backend.linear(store, "f1", c2 * h2 * w2, f1, seed + 2));
     m.push(Relu);
-    m.push_boxed(backend.linear(store, "f2", f1, f2, seed + 3));
+    m.push(backend.linear(store, "f2", f1, f2, seed + 3));
     m.push(Relu);
-    m.push_boxed(backend.linear(store, "f3", f2, classes, seed + 4));
+    m.push(backend.linear(store, "f3", f2, classes, seed + 4));
     m
 }
 
@@ -247,7 +252,7 @@ pub fn vgg8(
     for (stage, &width) in widths.iter().enumerate() {
         for rep in 0..2 {
             let g = geom(c, h, w, 3, 1);
-            m.push_boxed(backend.conv(store, &format!("s{stage}c{rep}"), g, width, seed));
+            m.push(backend.conv(store, &format!("s{stage}c{rep}"), g, width, seed));
             m.push(BatchNorm2d::new(store, &format!("s{stage}b{rep}"), width));
             m.push(Relu);
             c = width;
@@ -263,9 +268,9 @@ pub fn vgg8(
     }
     m.push(Flatten);
     let hidden = (widths[2] / 2).max(8);
-    m.push_boxed(backend.linear(store, "fc1", c * h * w, hidden, seed));
+    m.push(backend.linear(store, "fc1", c * h * w, hidden, seed));
     m.push(Relu);
-    m.push_boxed(backend.linear(store, "fc2", hidden, classes, seed + 1));
+    m.push(backend.linear(store, "fc2", hidden, classes, seed + 1));
     m
 }
 
@@ -316,6 +321,7 @@ pub fn proxy_cnn_electronic(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::Layer;
     use crate::param::ForwardCtx;
     use adept_autodiff::Graph;
     use adept_tensor::Tensor;

@@ -1,15 +1,17 @@
-//! Photonic layers: weights materialized from photonic tensor cores.
+//! Photonic weights: how a layer's weight matrix is realized.
 //!
 //! An ONN layer's weight `W ∈ R^{M×N}` is partitioned into `K×K` tiles
 //! `W_pq = Re(U_pq · Σ_pq · V_pq)` (paper Eq. 1): the unitaries share one
 //! searched/fixed circuit *topology* across tiles while phases `Φ` and the
-//! diagonal `Σ` are per-tile trainable weights (Eq. 2). [`PtcWeight`]
-//! implements that construction differentiably on the autodiff tape;
-//! [`OnnLinear`] and [`OnnConv2d`] wrap it into layers. [`MziLinear`] is the
-//! universal MZI-ONN baseline: it trains a dense weight (exactly the
-//! expressiveness of an SVD-parametrized Clements mesh) and simulates phase
-//! drift by decomposing each tile into MZI rotations, perturbing them and
-//! reconstructing.
+//! diagonal `Σ` are per-tile trainable weights (Eq. 2). [`PtcTiles`] is
+//! that tile grid, shared with the search-time SuperMesh weight;
+//! [`PtcWeight`] realizes it on fixed meshes, differentiably on the
+//! autodiff tape. [`MziMesh`] is the universal MZI-ONN baseline: it trains
+//! a dense weight (exactly the expressiveness of an SVD-parametrized
+//! Clements mesh) and simulates phase drift by decomposing each tile into
+//! MZI rotations, perturbing them and reconstructing. A [`Weight`] holds
+//! one realization — dense electronic, MZI or PTC — for the one
+//! [`crate::layers::Linear`] and the one [`crate::layers::Conv2d`].
 //!
 //! # The batched unitary builder
 //!
@@ -22,8 +24,6 @@
 //! [`tile_unitary`] records — the scalar builder is kept as the reference
 //! implementation and the batched path is pinned bit-equal to it.
 
-use crate::layers::{cols_to_nchw, im2col_var_scratch, Layer};
-use crate::lower::{LowerError, LoweredStep};
 use crate::mesh::{build_mesh_weight, MeshWeight};
 use crate::param::{next_weight_uid, ForwardCtx, ParamId, ParamStore};
 use adept_autodiff::{
@@ -33,7 +33,7 @@ use adept_autodiff::{
 use adept_linalg::{svd, CMatrix, C64};
 use adept_photonics::clements::decompose;
 use adept_photonics::{BlockMeshTopology, DeviceCount, FaultScenario, PhaseNoise};
-use adept_tensor::{Conv2dGeometry, Tensor};
+use adept_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cell::RefCell;
@@ -152,24 +152,180 @@ pub fn batched_tile_unitary<'g>(
     (m_re, m_im)
 }
 
-/// The `(U, V)` mesh topologies of one PTC.
-type TopologyPair = (BlockMeshTopology, BlockMeshTopology);
+/// The `(re, im)` parts of a complex matrix (or `[T, K, K]` stack) on the
+/// tape.
+pub type ComplexVar<'g> = (Var<'g>, Var<'g>);
 
-/// A weight matrix realized by a photonic tensor core with a fixed
-/// topology: `K×K` tiles of `Re(U·Σ·V)` with shared topology and per-tile
-/// phases.
-pub struct PtcWeight {
-    uid: u64,
+/// The tile grid of a PTC-realized `out × in` weight (paper Eq. 1–2):
+/// `⌈out/K⌉ × ⌈in/K⌉` tiles `Re(U·Σ·V)`, each with its own `U` and `V`
+/// phases and diagonal `Σ`.
+///
+/// Fixed-topology ([`PtcWeight`]) and searched
+/// (`adept::supermesh::SuperPtcWeight`) weights differ only in how they
+/// turn phases into unitaries. This is everything else they share: the
+/// parameter registration, the stacked `[T, B, K]` phases, and the `Σ`
+/// and grid product that turns the tiles' unitaries into the weight —
+/// batched ([`PtcTiles::product`]) or per tile for the reference
+/// builders ([`PtcTiles::product_per_tile`]).
+pub struct PtcTiles {
     k: usize,
     out_features: usize,
     in_features: usize,
     grid_rows: usize,
     grid_cols: usize,
-    topo_u: BlockMeshTopology,
-    topo_v: BlockMeshTopology,
     phases_u: Vec<ParamId>,
     phases_v: Vec<ParamId>,
     sigma: Vec<ParamId>,
+}
+
+impl PtcTiles {
+    /// Registers `{name}.u{t}`, `{name}.v{t}` and `{name}.s{t}` for every
+    /// tile `t` in row-major grid order, drawn from one RNG seeded with
+    /// `seed`: phases uniform in `[-π, π)` of shape `[blocks_u, K]` and
+    /// `[blocks_v, K]`, `Σ` uniform in `±min(√(6K/in), 2)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a feature count is zero.
+    pub fn register(
+        store: &mut ParamStore,
+        name: &str,
+        in_features: usize,
+        out_features: usize,
+        k: usize,
+        blocks_u: usize,
+        blocks_v: usize,
+        seed: u64,
+    ) -> Self {
+        assert!(
+            in_features > 0 && out_features > 0,
+            "features must be positive"
+        );
+        let grid_rows = out_features.div_ceil(k);
+        let grid_cols = in_features.div_ceil(k);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pi = std::f64::consts::PI;
+        let sig_bound = (6.0 * k as f64 / in_features as f64).sqrt().min(2.0);
+        let (mut phases_u, mut phases_v, mut sigma) = (Vec::new(), Vec::new(), Vec::new());
+        for tile in 0..grid_rows * grid_cols {
+            let u = Tensor::rand_uniform(&mut rng, &[blocks_u, k], -pi, pi);
+            phases_u.push(store.register(format!("{name}.u{tile}"), u, 1e-4));
+            let v = Tensor::rand_uniform(&mut rng, &[blocks_v, k], -pi, pi);
+            phases_v.push(store.register(format!("{name}.v{tile}"), v, 1e-4));
+            let s = Tensor::rand_uniform(&mut rng, &[k], -sig_bound, sig_bound);
+            sigma.push(store.register(format!("{name}.s{tile}"), s, 1e-4));
+        }
+        Self {
+            k,
+            out_features,
+            in_features,
+            grid_rows,
+            grid_cols,
+            phases_u,
+            phases_v,
+            sigma,
+        }
+    }
+
+    /// All parameter handles: every tile's `U` phases, then `V` phases,
+    /// then `Σ`.
+    pub fn param_ids(&self) -> Vec<ParamId> {
+        self.phases_u
+            .iter()
+            .chain(&self.phases_v)
+            .chain(&self.sigma)
+            .copied()
+            .collect()
+    }
+
+    /// The tiles' phase leaves stacked into `[T, B_u, K]` and `[T, B_v, K]`.
+    pub fn stacked_phases<'g>(&self, ctx: &ForwardCtx<'g, '_>) -> (Var<'g>, Var<'g>) {
+        let pu: Vec<Var<'g>> = self.phases_u.iter().map(|&id| ctx.param(id)).collect();
+        let pv: Vec<Var<'g>> = self.phases_v.iter().map(|&id| ctx.param(id)).collect();
+        (stack(&pu), stack(&pv))
+    }
+
+    /// The `[out, in]` weight from every tile's `[T, K, K]` unitaries:
+    /// `Σ` scales `U`'s columns, and one ragged batched GEMM sweep
+    /// ([`batched_tile_product_grid`]) lands each `Re(UΣ·V)` in its grid
+    /// cell, cropping edge tiles in place.
+    pub fn product<'g>(
+        &self,
+        ctx: &ForwardCtx<'g, '_>,
+        (u_re, u_im): ComplexVar<'g>,
+        (v_re, v_im): ComplexVar<'g>,
+    ) -> Var<'g> {
+        // Σ broadcasts over U's columns: [T, 1, K] against [T, K, K].
+        let sigs: Vec<Var<'g>> = self.sigma.iter().map(|&id| ctx.param(id)).collect();
+        let sig = stack(&sigs).reshape(&[self.sigma.len(), 1, self.k]);
+        batched_tile_product_grid(
+            u_re.mul(sig),
+            u_im.mul(sig),
+            v_re,
+            v_im,
+            self.grid_rows,
+            self.grid_cols,
+            self.out_features,
+            self.in_features,
+        )
+    }
+
+    /// The per-tile **reference** twin of [`PtcTiles::product`]:
+    /// `unitaries` turns one tile's `U` and `V` phase leaves into its two
+    /// `K×K` unitaries, then the tile products are stacked and cropped.
+    /// Reference builders pin the batched paths bit-equal to the paper's
+    /// literal per-tile construction with it; no hot path calls it.
+    pub fn product_per_tile<'g>(
+        &self,
+        ctx: &ForwardCtx<'g, '_>,
+        mut unitaries: impl FnMut(Var<'g>, Var<'g>) -> (ComplexVar<'g>, ComplexVar<'g>),
+    ) -> Var<'g> {
+        let n_tiles = self.sigma.len();
+        let mut us_re_tiles = Vec::with_capacity(n_tiles);
+        let mut us_im_tiles = Vec::with_capacity(n_tiles);
+        let mut v_re_tiles = Vec::with_capacity(n_tiles);
+        let mut v_im_tiles = Vec::with_capacity(n_tiles);
+        for tile in 0..n_tiles {
+            let pu = ctx.param(self.phases_u[tile]);
+            let pv = ctx.param(self.phases_v[tile]);
+            let ((u_re, u_im), (v_re, v_im)) = unitaries(pu, pv);
+            let sig = ctx.param(self.sigma[tile]); // [K] broadcasts over U's columns
+            us_re_tiles.push(u_re.mul(sig));
+            us_im_tiles.push(u_im.mul(sig));
+            v_re_tiles.push(v_re);
+            v_im_tiles.push(v_im);
+        }
+        // Re(UΣ · V) = (UΣ)_re·V_re − (UΣ)_im·V_im, batched over all tiles.
+        let full = batched_tile_product(
+            &us_re_tiles,
+            &us_im_tiles,
+            &v_re_tiles,
+            &v_im_tiles,
+            self.grid_rows,
+            self.grid_cols,
+        );
+        if self.grid_rows * self.k == self.out_features
+            && self.grid_cols * self.k == self.in_features
+        {
+            full
+        } else {
+            full.crop2d(self.out_features, self.in_features)
+        }
+    }
+}
+
+/// The `(U, V)` mesh topologies of one PTC.
+type TopologyPair = (BlockMeshTopology, BlockMeshTopology);
+
+/// A weight matrix realized by a photonic tensor core with a fixed
+/// topology: a [`PtcTiles`] grid whose unitaries all walk the same `U`
+/// and `V` meshes, plus the hardware effects a fixed chip has — phase
+/// noise and fault scenarios.
+pub struct PtcWeight {
+    uid: u64,
+    tiles: PtcTiles,
+    topo_u: BlockMeshTopology,
+    topo_v: BlockMeshTopology,
     /// Gaussian phase-drift std applied on every build when positive
     /// (variation-aware training and noisy evaluation).
     pub phase_noise_std: f64,
@@ -190,67 +346,30 @@ impl PtcWeight {
         topo_v: BlockMeshTopology,
         seed: u64,
     ) -> Self {
-        assert!(
-            in_features > 0 && out_features > 0,
-            "features must be positive"
-        );
         assert_eq!(topo_u.k(), topo_v.k(), "U and V topologies must share k");
-        let k = topo_u.k();
-        let grid_rows = out_features.div_ceil(k);
-        let grid_cols = in_features.div_ceil(k);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut phases_u = Vec::new();
-        let mut phases_v = Vec::new();
-        let mut sigma = Vec::new();
-        let bu = topo_u.blocks().len();
-        let bv = topo_v.blocks().len();
-        let sig_bound = (6.0 * k as f64 / in_features.max(1) as f64).sqrt().min(2.0);
-        for tile in 0..grid_rows * grid_cols {
-            phases_u.push(store.register(
-                format!("{name}.u{tile}"),
-                Tensor::rand_uniform(
-                    &mut rng,
-                    &[bu, k],
-                    -std::f64::consts::PI,
-                    std::f64::consts::PI,
-                ),
-                1e-4,
-            ));
-            phases_v.push(store.register(
-                format!("{name}.v{tile}"),
-                Tensor::rand_uniform(
-                    &mut rng,
-                    &[bv, k],
-                    -std::f64::consts::PI,
-                    std::f64::consts::PI,
-                ),
-                1e-4,
-            ));
-            sigma.push(store.register(
-                format!("{name}.s{tile}"),
-                Tensor::rand_uniform(&mut rng, &[k], -sig_bound, sig_bound),
-                1e-4,
-            ));
-        }
+        let (bu, bv) = (topo_u.blocks().len(), topo_v.blocks().len());
+        let tiles = PtcTiles::register(
+            store,
+            name,
+            in_features,
+            out_features,
+            topo_u.k(),
+            bu,
+            bv,
+            seed,
+        );
         Self {
             uid: next_weight_uid(),
-            k,
-            out_features,
-            in_features,
-            grid_rows,
-            grid_cols,
+            tiles,
             topo_u,
             topo_v,
-            phases_u,
-            phases_v,
-            sigma,
             phase_noise_std: 0.0,
         }
     }
 
     /// PTC size.
     pub fn k(&self) -> usize {
-        self.k
+        self.tiles.k
     }
 
     /// Process-unique id of this weight (key of the per-step prebuilt
@@ -266,12 +385,7 @@ impl PtcWeight {
 
     /// All parameter handles.
     pub fn param_ids(&self) -> Vec<ParamId> {
-        self.phases_u
-            .iter()
-            .chain(&self.phases_v)
-            .chain(&self.sigma)
-            .copied()
-            .collect()
+        self.tiles.param_ids()
     }
 
     /// Draws per-tile phase noise for both meshes, preserving the sampling
@@ -279,7 +393,7 @@ impl PtcWeight {
     /// tile 1's U noise, …) so noisy builds stay stream-compatible.
     fn sample_phase_noise(&self, ctx: &ForwardCtx<'_, '_>, n_tiles: usize) -> (Tensor, Tensor) {
         let noise = PhaseNoise::new(self.phase_noise_std);
-        let k = self.k;
+        let k = self.tiles.k;
         let (bu, bv) = (self.topo_u.blocks().len(), self.topo_v.blocks().len());
         let mut nu = Tensor::zeros(&[n_tiles, bu, k]);
         let mut nv = Tensor::zeros(&[n_tiles, bv, k]);
@@ -314,9 +428,9 @@ impl PtcWeight {
         noise: Option<&(Tensor, Tensor)>,
         n_tiles: usize,
     ) -> (Tensor, Tensor, Option<TopologyPair>) {
-        let k = self.k;
-        let key_u = ctx.store.name(self.phases_u[0]);
-        let key_v = ctx.store.name(self.phases_v[0]);
+        let k = self.tiles.k;
+        let key_u = ctx.store.name(self.tiles.phases_u[0]);
+        let key_v = ctx.store.name(self.tiles.phases_v[0]);
         let (bu, bv) = (self.topo_u.blocks().len(), self.topo_v.blocks().len());
         let mut du = Tensor::zeros(&[n_tiles, bu, k]);
         let mut dv = Tensor::zeros(&[n_tiles, bv, k]);
@@ -337,8 +451,8 @@ impl PtcWeight {
                 }
             };
         let (nu, nv) = (noise.map(|n| &n.0), noise.map(|n| &n.1));
-        fill(du.as_mut_slice(), &self.phases_u, bu, key_u, nu);
-        fill(dv.as_mut_slice(), &self.phases_v, bv, key_v, nv);
+        fill(du.as_mut_slice(), &self.tiles.phases_u, bu, key_u, nu);
+        fill(dv.as_mut_slice(), &self.tiles.phases_v, bv, key_v, nv);
         let topos = if scenario.has_coupler_faults() {
             Some((
                 scenario.faulted_topology(key_u, &self.topo_u),
@@ -355,9 +469,9 @@ impl PtcWeight {
     /// All tiles' unitaries are built by **one** walk over the mesh blocks
     /// ([`batched_tile_unitary`]) on stacked `[T, B, K]` phases, and all
     /// tile products `Re(UΣ·V)` land in their grid cells through one ragged
-    /// batched GEMM sweep ([`batched_tile_product_grid`]) that crops edge
-    /// tiles in place. The tape holds `O(B)` nodes per mesh — independent
-    /// of the tile count — and the values are bit-identical to the per-tile
+    /// batched GEMM sweep ([`PtcTiles::product`]) that crops edge tiles in
+    /// place. The tape holds `O(B)` nodes per mesh — independent of the
+    /// tile count — and the values are bit-identical to the per-tile
     /// reference path ([`PtcWeight::build_per_tile`]).
     ///
     /// When [`crate::mesh::prebuild_mesh_weights`] already recorded this
@@ -365,6 +479,35 @@ impl PtcWeight {
     /// [`build_mesh_weight`]).
     pub fn build<'g>(&self, ctx: &ForwardCtx<'g, '_>) -> Var<'g> {
         build_mesh_weight(ctx, self)
+    }
+
+    /// The per-tile **reference-only** build: one [`tile_unitary`] node
+    /// chain per tile followed by the stacked tile product
+    /// ([`PtcTiles::product_per_tile`]). It exists to pin the batched path
+    /// bit-equal to the paper's literal per-tile construction
+    /// (bit-equivalence tests, the `unitary_build` benchmark) and is never
+    /// on a hot path — production code always goes through
+    /// [`PtcWeight::build`] / the [`MeshWeight`] engine. Fault scenarios
+    /// are deliberately not applied here: the reference pins the healthy
+    /// construction only.
+    pub fn build_per_tile<'g>(&self, ctx: &ForwardCtx<'g, '_>) -> Var<'g> {
+        let noise = (self.phase_noise_std > 0.0).then(|| PhaseNoise::new(self.phase_noise_std));
+        let draw = |shape: Vec<usize>, n: &PhaseNoise| {
+            let len = shape.iter().product::<usize>();
+            let values = ctx.with_rng(|rng| (0..len).map(|_| n.sample(rng)).collect());
+            ctx.constant(Tensor::from_vec(values, &shape))
+        };
+        self.tiles.product_per_tile(ctx, |mut pu, mut pv| {
+            if let Some(n) = &noise {
+                let (nu, nv) = (draw(pu.shape(), n), draw(pv.shape(), n));
+                pu = pu.add(nu);
+                pv = pv.add(nv);
+            }
+            (
+                tile_unitary(ctx, &self.topo_u, pu),
+                tile_unitary(ctx, &self.topo_v, pv),
+            )
+        })
     }
 }
 
@@ -387,16 +530,12 @@ impl<'g> MeshWeight<'g> for PtcWeight {
     /// and the fused `Re(UΣ·V)` grid product. Phase noise comes from the
     /// shared RNG, so building weights in layer order fixes the stream.
     fn record(&self, ctx: &ForwardCtx<'g, '_>) -> Var<'g> {
-        let k = self.k;
-        let n_tiles = self.grid_rows * self.grid_cols;
-        let pu: Vec<Var<'g>> = self.phases_u.iter().map(|&id| ctx.param(id)).collect();
-        let pv: Vec<Var<'g>> = self.phases_v.iter().map(|&id| ctx.param(id)).collect();
+        let n_tiles = self.tiles.sigma.len();
+        let (mut su, mut sv) = self.tiles.stacked_phases(ctx); // [T, B, K]
         let noise = (self.phase_noise_std > 0.0).then(|| self.sample_phase_noise(ctx, n_tiles));
         let faults = ctx
             .fault_scenario()
             .map(|scenario| self.fault_payload(ctx, scenario, noise.as_ref(), n_tiles));
-        let mut su = stack(&pu); // [T, Bu, K]
-        let mut sv = stack(&pv); // [T, Bv, K]
         if let Some((nu, nv)) = noise {
             su = su.add(ctx.constant(nu));
             sv = sv.add(ctx.constant(nv));
@@ -411,251 +550,9 @@ impl<'g> MeshWeight<'g> for PtcWeight {
             Some((tu, tv)) => (tu, tv),
             None => (&self.topo_u, &self.topo_v),
         };
-        let (u_re, u_im) = batched_tile_unitary(ctx, topo_u, su);
-        let (v_re, v_im) = batched_tile_unitary(ctx, topo_v, sv);
-        // Σ broadcasts over U's columns: [T, 1, K] against [T, K, K].
-        let sigs: Vec<Var<'g>> = self.sigma.iter().map(|&id| ctx.param(id)).collect();
-        let sig = stack(&sigs).reshape(&[n_tiles, 1, k]);
-        let us_re = u_re.mul(sig);
-        let us_im = u_im.mul(sig);
-        batched_tile_product_grid(
-            us_re,
-            us_im,
-            v_re,
-            v_im,
-            self.grid_rows,
-            self.grid_cols,
-            self.out_features,
-            self.in_features,
-        )
-    }
-}
-
-impl PtcWeight {
-    /// The per-tile **reference-only** build: one [`tile_unitary`] node
-    /// chain per tile followed by the stacked tile product. It exists to
-    /// pin the batched path bit-equal to the paper's literal per-tile
-    /// construction (bit-equivalence tests, the `unitary_build` benchmark)
-    /// and is never on a hot path — production code always goes through
-    /// [`PtcWeight::build`] / the [`MeshWeight`] engine. Fault scenarios
-    /// are deliberately not applied here: the reference pins the healthy
-    /// construction only.
-    pub fn build_per_tile<'g>(&self, ctx: &ForwardCtx<'g, '_>) -> Var<'g> {
-        let k = self.k;
-        let n_tiles = self.grid_rows * self.grid_cols;
-        let noise = if self.phase_noise_std > 0.0 {
-            Some(PhaseNoise::new(self.phase_noise_std))
-        } else {
-            None
-        };
-        let mut us_re_tiles = Vec::with_capacity(n_tiles);
-        let mut us_im_tiles = Vec::with_capacity(n_tiles);
-        let mut v_re_tiles = Vec::with_capacity(n_tiles);
-        let mut v_im_tiles = Vec::with_capacity(n_tiles);
-        for tile in 0..n_tiles {
-            let mut pu = ctx.param(self.phases_u[tile]);
-            let mut pv = ctx.param(self.phases_v[tile]);
-            if let Some(n) = &noise {
-                let nu = ctx.with_rng(|rng| {
-                    Tensor::from_vec(
-                        (0..pu.shape().iter().product::<usize>())
-                            .map(|_| n.sample(rng))
-                            .collect(),
-                        &pu.shape(),
-                    )
-                });
-                let nv = ctx.with_rng(|rng| {
-                    Tensor::from_vec(
-                        (0..pv.shape().iter().product::<usize>())
-                            .map(|_| n.sample(rng))
-                            .collect(),
-                        &pv.shape(),
-                    )
-                });
-                pu = pu.add(ctx.constant(nu));
-                pv = pv.add(ctx.constant(nv));
-            }
-            let (u_re, u_im) = tile_unitary(ctx, &self.topo_u, pu);
-            let (v_re, v_im) = tile_unitary(ctx, &self.topo_v, pv);
-            let sig = ctx.param(self.sigma[tile]); // [K] broadcasts over U's columns
-            us_re_tiles.push(u_re.mul(sig));
-            us_im_tiles.push(u_im.mul(sig));
-            v_re_tiles.push(v_re);
-            v_im_tiles.push(v_im);
-        }
-        // Re(UΣ · V) = (UΣ)_re·V_re − (UΣ)_im·V_im, batched over all tiles.
-        let full = batched_tile_product(
-            &us_re_tiles,
-            &us_im_tiles,
-            &v_re_tiles,
-            &v_im_tiles,
-            self.grid_rows,
-            self.grid_cols,
-        );
-        if self.grid_rows * k == self.out_features && self.grid_cols * k == self.in_features {
-            full
-        } else {
-            full.crop2d(self.out_features, self.in_features)
-        }
-    }
-}
-
-/// Fully connected photonic layer `y = x·Wᵀ + b` with a PTC weight.
-pub struct OnnLinear {
-    /// The underlying PTC weight (public so experiments can toggle noise).
-    pub weight: PtcWeight,
-    bias: ParamId,
-}
-
-impl OnnLinear {
-    /// Registers the layer.
-    pub fn new(
-        store: &mut ParamStore,
-        name: &str,
-        in_features: usize,
-        out_features: usize,
-        topo_u: BlockMeshTopology,
-        topo_v: BlockMeshTopology,
-        seed: u64,
-    ) -> Self {
-        let weight = PtcWeight::new(store, name, in_features, out_features, topo_u, topo_v, seed);
-        Self {
-            weight,
-            bias: store.register(format!("{name}.b"), Tensor::zeros(&[out_features]), 0.0),
-        }
-    }
-}
-
-impl Layer for OnnLinear {
-    fn forward<'g>(&mut self, ctx: &ForwardCtx<'g, '_>, x: Var<'g>) -> Var<'g> {
-        let w = self.weight.build(ctx);
-        let b = ctx.param(self.bias);
-        x.matmul(w.transpose()).add(b)
-    }
-
-    fn param_ids(&self) -> Vec<ParamId> {
-        let mut ids = self.weight.param_ids();
-        ids.push(self.bias);
-        ids
-    }
-
-    fn set_phase_noise(&mut self, std: f64) {
-        self.weight.phase_noise_std = std;
-    }
-
-    fn device_count(&self) -> Option<DeviceCount> {
-        Some(self.weight.device_count())
-    }
-
-    fn mesh_weights<'g>(&self) -> Vec<&dyn MeshWeight<'g>> {
-        vec![&self.weight]
-    }
-
-    fn lower<'g>(
-        &self,
-        ctx: &ForwardCtx<'g, '_>,
-        out: &mut Vec<LoweredStep>,
-    ) -> Result<(), LowerError> {
-        // Materialize Re(U·diag(σ)·V) through the tape builder itself —
-        // consuming the prebuilt variable (and its noise draws), so
-        // the frozen matrix is bit-identical to the forward pass's.
-        let w = self.weight.build(ctx).value();
-        out.push(LoweredStep::Linear {
-            w_t: w.transpose(),
-            bias: ctx.store.value(self.bias).clone(),
-        });
-        Ok(())
-    }
-}
-
-/// Convolutional photonic layer: `im2col` lowering onto a PTC weight.
-pub struct OnnConv2d {
-    /// The underlying PTC weight over `[out_channels, C·k·k]`.
-    pub weight: PtcWeight,
-    bias: ParamId,
-    geom: Conv2dGeometry,
-    out_channels: usize,
-    /// Patch-matrix scratch reused across training steps.
-    scratch: Tensor,
-}
-
-impl OnnConv2d {
-    /// Registers the layer.
-    pub fn new(
-        store: &mut ParamStore,
-        name: &str,
-        geom: Conv2dGeometry,
-        out_channels: usize,
-        topo_u: BlockMeshTopology,
-        topo_v: BlockMeshTopology,
-        seed: u64,
-    ) -> Self {
-        let weight = PtcWeight::new(
-            store,
-            name,
-            geom.col_rows(),
-            out_channels,
-            topo_u,
-            topo_v,
-            seed,
-        );
-        Self {
-            weight,
-            bias: store.register(format!("{name}.b"), Tensor::zeros(&[out_channels]), 0.0),
-            geom,
-            out_channels,
-            scratch: Tensor::default(),
-        }
-    }
-}
-
-impl Layer for OnnConv2d {
-    fn forward<'g>(&mut self, ctx: &ForwardCtx<'g, '_>, x: Var<'g>) -> Var<'g> {
-        let w = self.weight.build(ctx);
-        let cols = im2col_var_scratch(x, self.geom, &mut self.scratch);
-        let y = w.matmul(cols);
-        let n = x.shape()[0];
-        let y = cols_to_nchw(
-            y,
-            n,
-            self.out_channels,
-            self.geom.out_h(),
-            self.geom.out_w(),
-        );
-        let b = ctx.param(self.bias).reshape(&[self.out_channels, 1, 1]);
-        y.add(b)
-    }
-
-    fn param_ids(&self) -> Vec<ParamId> {
-        let mut ids = self.weight.param_ids();
-        ids.push(self.bias);
-        ids
-    }
-
-    fn set_phase_noise(&mut self, std: f64) {
-        self.weight.phase_noise_std = std;
-    }
-
-    fn device_count(&self) -> Option<DeviceCount> {
-        Some(self.weight.device_count())
-    }
-
-    fn mesh_weights<'g>(&self) -> Vec<&dyn MeshWeight<'g>> {
-        vec![&self.weight]
-    }
-
-    fn lower<'g>(
-        &self,
-        ctx: &ForwardCtx<'g, '_>,
-        out: &mut Vec<LoweredStep>,
-    ) -> Result<(), LowerError> {
-        out.push(LoweredStep::Conv2d {
-            w: self.weight.build(ctx).value(),
-            bias: ctx.store.value(self.bias).clone(),
-            geom: self.geom,
-            out_channels: self.out_channels,
-        });
-        Ok(())
+        let u = batched_tile_unitary(ctx, topo_u, su);
+        let v = batched_tile_unitary(ctx, topo_v, sv);
+        self.tiles.product(ctx, u, v)
     }
 }
 
@@ -665,61 +562,34 @@ type TileDecomp = (
     adept_photonics::clements::MeshDecomposition, // Vᵀ
 );
 
-/// The MZI-ONN baseline linear layer (Shen et al.).
+/// The MZI-ONN baseline's mesh (Shen et al.) over a dense weight.
 ///
-/// The Clements-mesh SVD parametrization is universal, so for training this
-/// layer keeps a dense weight — identical expressiveness, far cheaper.
-/// Phase drift is simulated faithfully: each `K×K` tile is SVD-decomposed,
-/// its orthogonal factors are factored into MZI rotations
-/// ([`adept_photonics::clements::decompose`]), every rotation phase is
-/// perturbed, and the tile is rebuilt. The weight gradient treats the noise
-/// as an additive constant (straight-through), matching how variation-aware
-/// training perturbs forward passes in the paper.
-pub struct MziLinear {
-    w: ParamId,
-    bias: ParamId,
+/// The Clements-mesh SVD parametrization is universal, so the baseline
+/// trains a dense weight — identical expressiveness, far cheaper. Phase
+/// drift is simulated faithfully: each `K×K` tile is SVD-decomposed, its
+/// orthogonal factors are factored into MZI rotations ([`decompose`]),
+/// every rotation phase is perturbed, and the tile is rebuilt.
+pub struct MziMesh {
     k: usize,
-    in_features: usize,
-    out_features: usize,
     /// Phase-drift std; 0 disables the mesh simulation entirely.
-    pub phase_noise_std: f64,
+    phase_noise_std: f64,
+    /// The tile decompositions of the last weight value seen.
     cache: RefCell<Option<(Tensor, Vec<TileDecomp>)>>,
 }
 
-impl MziLinear {
-    /// Registers the layer with PTC size `k`.
-    pub fn new(
-        store: &mut ParamStore,
-        name: &str,
-        in_features: usize,
-        out_features: usize,
-        k: usize,
-        seed: u64,
-    ) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let w = Tensor::kaiming_uniform(&mut rng, &[out_features, in_features], in_features);
+impl MziMesh {
+    /// A noise-free mesh of `k×k` MZI tiles.
+    pub fn new(k: usize) -> Self {
         Self {
-            w: store.register(format!("{name}.w"), w, 1e-4),
-            bias: store.register(format!("{name}.b"), Tensor::zeros(&[out_features]), 0.0),
             k,
-            in_features,
-            out_features,
             phase_noise_std: 0.0,
             cache: RefCell::new(None),
         }
     }
 
-    /// Device count of the underlying `k×k` MZI PTC.
-    pub fn mzi_device_count(&self) -> DeviceCount {
-        DeviceCount::mzi_ptc(self.k)
-    }
-
-    fn decompose_tiles(&self, w: &Tensor) -> Vec<TileDecomp> {
+    fn decompose_tiles(&self, padded: &Tensor) -> Vec<TileDecomp> {
         let k = self.k;
-        let rows = self.out_features.div_ceil(k);
-        let cols = self.in_features.div_ceil(k);
-        let mut padded = Tensor::zeros(&[rows * k, cols * k]);
-        padded.set_block(0, 0, w);
+        let (rows, cols) = (padded.shape()[0] / k, padded.shape()[1] / k);
         let mut out = Vec::with_capacity(rows * cols);
         for r in 0..rows {
             for c in 0..cols {
@@ -733,21 +603,21 @@ impl MziLinear {
         out
     }
 
-    /// The noisy weight value under the current phase-drift std.
+    /// The `[out, in]` weight `w` as realized by the drifting mesh.
     fn noisy_weight(&self, w: &Tensor, rng: &mut StdRng) -> Tensor {
         let k = self.k;
-        let rows = self.out_features.div_ceil(k);
-        let cols = self.in_features.div_ceil(k);
+        let (out_features, in_features) = (w.shape()[0], w.shape()[1]);
+        let rows = out_features.div_ceil(k);
+        let cols = in_features.div_ceil(k);
         // Reuse the cached decomposition if the weight is unchanged.
         let stale = {
             let cache = self.cache.borrow();
-            matches!(cache.as_ref(), Some((cached_w, _)) if cached_w != w)
+            !matches!(cache.as_ref(), Some((cached_w, _)) if cached_w == w)
         };
         if stale {
-            self.cache.replace(None);
-        }
-        if self.cache.borrow().is_none() {
-            let tiles = self.decompose_tiles(w);
+            let mut padded = Tensor::zeros(&[rows * k, cols * k]);
+            padded.set_block(0, 0, w);
+            let tiles = self.decompose_tiles(&padded);
             self.cache.replace(Some((w.clone(), tiles)));
         }
         let cache = self.cache.borrow();
@@ -768,23 +638,7 @@ impl MziLinear {
             let tile = us.matmul(&vn).re();
             noisy.set_block(r * k, c * k, &tile);
         }
-        noisy.block(0, 0, self.out_features, self.in_features)
-    }
-
-    /// The weight value a tape forward would multiply by under the current
-    /// noise setting: clean `W`, or the straight-through `W + (W̃ − W)`
-    /// computed with the same elementwise ops as the tape's `w.add(delta)`
-    /// — the FP rounding of `w + (noisy − w)` is *not* the bits of
-    /// `noisy`, so the compiled plan must replay the tape's arithmetic.
-    fn frozen_weight(&self, ctx: &ForwardCtx<'_, '_>) -> Tensor {
-        let wv = ctx.store.value(self.w).clone();
-        if self.phase_noise_std > 0.0 {
-            let noisy = ctx.with_rng(|rng| self.noisy_weight(&wv, rng));
-            let delta = &noisy - &wv;
-            &wv + &delta
-        } else {
-            wv
-        }
+        noisy.block(0, 0, out_features, in_features)
     }
 }
 
@@ -797,130 +651,109 @@ fn real_to_cmatrix(t: &Tensor) -> CMatrix {
     )
 }
 
-impl Layer for MziLinear {
-    fn forward<'g>(&mut self, ctx: &ForwardCtx<'g, '_>, x: Var<'g>) -> Var<'g> {
-        let w = ctx.param(self.w);
-        let b = ctx.param(self.bias);
-        let w = if self.phase_noise_std > 0.0 {
-            let wv = w.value();
-            let noisy = ctx.with_rng(|rng| self.noisy_weight(&wv, rng));
-            // Straight-through: W_noisy = W + const(ΔW).
-            let delta = ctx.constant(&noisy - &wv);
-            w.add(delta)
-        } else {
-            w
-        };
-        x.matmul(w.transpose()).add(b)
-    }
-
-    fn param_ids(&self) -> Vec<ParamId> {
-        vec![self.w, self.bias]
-    }
-
-    fn set_phase_noise(&mut self, std: f64) {
-        self.phase_noise_std = std;
-    }
-
-    fn device_count(&self) -> Option<DeviceCount> {
-        Some(self.mzi_device_count())
-    }
-
-    fn lower<'g>(
-        &self,
-        ctx: &ForwardCtx<'g, '_>,
-        out: &mut Vec<LoweredStep>,
-    ) -> Result<(), LowerError> {
-        out.push(LoweredStep::Linear {
-            w_t: self.frozen_weight(ctx).transpose(),
-            bias: ctx.store.value(self.bias).clone(),
-        });
-        Ok(())
-    }
+/// How a layer's `out × in` weight is realized. Its methods are the only
+/// code that knows which realization it holds; [`crate::layers::Linear`]
+/// and [`crate::layers::Conv2d`] hold one, and
+/// [`crate::models::Backend`] picks it.
+pub enum Weight {
+    /// A dense trainable matrix `{name}.w`: electronic when `mzi` is
+    /// `None`, the MZI-ONN baseline when a mesh simulates its phase drift.
+    Dense {
+        /// The matrix parameter.
+        w: ParamId,
+        /// The MZI mesh realizing it, if photonic.
+        mzi: Option<MziMesh>,
+    },
+    /// A photonic tensor core with a fixed mesh topology.
+    Ptc(PtcWeight),
 }
 
-/// Convolutional MZI-ONN baseline (dense weight + mesh noise simulation).
-pub struct MziConv2d {
-    inner: MziLinear,
-    geom: Conv2dGeometry,
-    out_channels: usize,
-    /// Patch-matrix scratch reused across training steps.
-    scratch: Tensor,
-}
-
-impl MziConv2d {
-    /// Registers the layer.
-    pub fn new(
+impl Weight {
+    /// Registers a Kaiming-initialized dense `{name}.w` of shape
+    /// `[out_features, in_features]`, realized on `mzi` if given.
+    pub fn dense(
         store: &mut ParamStore,
         name: &str,
-        geom: Conv2dGeometry,
-        out_channels: usize,
-        k: usize,
+        in_features: usize,
+        out_features: usize,
         seed: u64,
+        mzi: Option<MziMesh>,
     ) -> Self {
-        Self {
-            inner: MziLinear::new(store, name, geom.col_rows(), out_channels, k, seed),
-            geom,
-            out_channels,
-            scratch: Tensor::default(),
+        let mut rng = StdRng::seed_from_u64(seed);
+        let w = Tensor::kaiming_uniform(&mut rng, &[out_features, in_features], in_features);
+        Weight::Dense {
+            w: store.register(format!("{name}.w"), w, 1e-4),
+            mzi,
         }
     }
-}
 
-impl Layer for MziConv2d {
-    fn forward<'g>(&mut self, ctx: &ForwardCtx<'g, '_>, x: Var<'g>) -> Var<'g> {
-        let w = ctx.param(self.inner.w);
-        let b = ctx.param(self.inner.bias);
-        let w = if self.inner.phase_noise_std > 0.0 {
-            let wv = w.value();
-            let noisy = ctx.with_rng(|rng| self.inner.noisy_weight(&wv, rng));
-            let delta = ctx.constant(&noisy - &wv);
-            w.add(delta)
-        } else {
-            w
-        };
-        let cols = im2col_var_scratch(x, self.geom, &mut self.scratch);
-        let y = w.matmul(cols);
-        let n = x.shape()[0];
-        let y = cols_to_nchw(
-            y,
-            n,
-            self.out_channels,
-            self.geom.out_h(),
-            self.geom.out_w(),
-        );
-        y.add(b.reshape(&[self.out_channels, 1, 1]))
+    /// The weight on the tape. A noisy MZI weight is straight-through:
+    /// `W + const(W̃ − W)`, so its gradient treats the drift as an additive
+    /// constant, matching how variation-aware training perturbs forward
+    /// passes in the paper. Lowering freezes the value of this same
+    /// variable: the FP rounding of `W + (W̃ − W)` is *not* the bits of
+    /// `W̃`, so a compiled plan must replay the tape's arithmetic.
+    pub fn build<'g>(&self, ctx: &ForwardCtx<'g, '_>) -> Var<'g> {
+        match self {
+            Weight::Dense { w, mzi } => {
+                let w = ctx.param(*w);
+                match mzi {
+                    Some(mesh) if mesh.phase_noise_std > 0.0 => {
+                        let wv = w.value();
+                        let noisy = ctx.with_rng(|rng| mesh.noisy_weight(&wv, rng));
+                        w.add(ctx.constant(&noisy - &wv))
+                    }
+                    _ => w,
+                }
+            }
+            Weight::Ptc(ptc) => ptc.build(ctx),
+        }
     }
 
-    fn param_ids(&self) -> Vec<ParamId> {
-        self.inner.param_ids()
+    /// All trainable handles.
+    pub fn param_ids(&self) -> Vec<ParamId> {
+        match self {
+            Weight::Dense { w, .. } => vec![*w],
+            Weight::Ptc(ptc) => ptc.param_ids(),
+        }
     }
 
-    fn set_phase_noise(&mut self, std: f64) {
-        self.inner.phase_noise_std = std;
+    /// Sets the Gaussian phase-drift std of a photonic weight (a no-op on
+    /// an electronic one).
+    pub fn set_phase_noise(&mut self, std: f64) {
+        match self {
+            Weight::Dense { mzi, .. } => {
+                if let Some(mesh) = mzi {
+                    mesh.phase_noise_std = std;
+                }
+            }
+            Weight::Ptc(ptc) => ptc.phase_noise_std = std,
+        }
     }
 
-    fn device_count(&self) -> Option<DeviceCount> {
-        Some(self.inner.mzi_device_count())
+    /// Device count of the photonic core, if the weight has one.
+    pub fn device_count(&self) -> Option<DeviceCount> {
+        match self {
+            Weight::Dense { mzi, .. } => mzi.as_ref().map(|mesh| DeviceCount::mzi_ptc(mesh.k)),
+            Weight::Ptc(ptc) => Some(ptc.device_count()),
+        }
     }
 
-    fn lower<'g>(
-        &self,
-        ctx: &ForwardCtx<'g, '_>,
-        out: &mut Vec<LoweredStep>,
-    ) -> Result<(), LowerError> {
-        out.push(LoweredStep::Conv2d {
-            w: self.inner.frozen_weight(ctx),
-            bias: ctx.store.value(self.inner.bias).clone(),
-            geom: self.geom,
-            out_channels: self.out_channels,
-        });
-        Ok(())
+    /// The mesh weight the build engine prebuilds, if any (see
+    /// [`crate::layers::Layer::mesh_weights`]).
+    pub fn mesh_weights<'g>(&self) -> Vec<&dyn MeshWeight<'g>> {
+        match self {
+            Weight::Dense { .. } => Vec::new(),
+            Weight::Ptc(ptc) => vec![ptc],
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::Layer;
+    use crate::models::Backend;
     use adept_autodiff::Graph;
     use adept_linalg::Permutation;
 
@@ -1117,8 +950,7 @@ mod tests {
     #[test]
     fn onn_linear_runs_and_learns_direction() {
         let mut store = ParamStore::new();
-        let topo = BlockMeshTopology::butterfly(4);
-        let mut layer = OnnLinear::new(&mut store, "fc", 4, 3, topo.clone(), topo, 9);
+        let mut layer = Backend::butterfly(4).linear(&mut store, "fc", 4, 3, 9);
         let graph = Graph::new();
         let ctx = ForwardCtx::new(&graph, &store, true, 0);
         let x = graph.constant(Tensor::ones(&[2, 4]));
@@ -1139,10 +971,9 @@ mod tests {
     #[test]
     fn phase_noise_changes_output_only_when_enabled() {
         let mut store = ParamStore::new();
-        let topo = BlockMeshTopology::butterfly(4);
-        let mut layer = OnnLinear::new(&mut store, "fc", 4, 4, topo.clone(), topo, 10);
+        let mut layer = Backend::butterfly(4).linear(&mut store, "fc", 4, 4, 10);
         let xval = Tensor::ones(&[1, 4]);
-        let run = |layer: &mut OnnLinear, store: &ParamStore, seed: u64| {
+        let run = |layer: &mut crate::layers::Linear, store: &ParamStore, seed: u64| {
             let graph = Graph::new();
             let ctx = ForwardCtx::new(&graph, store, false, seed);
             let x = graph.constant(xval.clone());
@@ -1164,9 +995,9 @@ mod tests {
     #[test]
     fn mzi_noise_simulation_perturbs_weight_mildly() {
         let mut store = ParamStore::new();
-        let mut layer = MziLinear::new(&mut store, "fc", 8, 8, 8, 11);
+        let mut layer = Backend::Mzi { k: 8 }.linear(&mut store, "fc", 8, 8, 11);
         let xval = Tensor::ones(&[1, 8]);
-        let run = |layer: &mut MziLinear, store: &ParamStore, seed: u64| {
+        let run = |layer: &mut crate::layers::Linear, store: &ParamStore, seed: u64| {
             let graph = Graph::new();
             let ctx = ForwardCtx::new(&graph, store, false, seed);
             let x = graph.constant(xval.clone());
@@ -1186,7 +1017,7 @@ mod tests {
     #[test]
     fn mzi_grad_flows_through_noise_ste() {
         let mut store = ParamStore::new();
-        let mut layer = MziLinear::new(&mut store, "fc", 4, 2, 4, 12);
+        let mut layer = Backend::Mzi { k: 4 }.linear(&mut store, "fc", 4, 2, 12);
         layer.set_phase_noise(0.02);
         let graph = Graph::new();
         let ctx = ForwardCtx::new(&graph, &store, true, 3);
@@ -1212,10 +1043,10 @@ mod tests {
         let topo = BlockMeshTopology::new(4, vec![block(4)]);
         let w = PtcWeight::new(&mut store, "w", 4, 4, topo.clone(), topo, 13);
         // Zero the phases, fix sigma.
-        for id in w.phases_u.iter().chain(&w.phases_v) {
+        for id in w.tiles.phases_u.iter().chain(&w.tiles.phases_v) {
             *store.value_mut(*id) = Tensor::zeros(&[1, 4]);
         }
-        *store.value_mut(w.sigma[0]) = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[4]);
+        *store.value_mut(w.tiles.sigma[0]) = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[4]);
         let graph = Graph::new();
         let ctx = ForwardCtx::new(&graph, &store, false, 0);
         let built = w.build(&ctx).value();

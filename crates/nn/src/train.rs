@@ -6,11 +6,11 @@
 //! chain, then runs one serial `Graph::backward`. All phase noise is drawn
 //! in that layer order, so for all-PTC models values, noise draws and
 //! gradients are bit-identical to the walk that builds each weight inside
-//! its layer's forward. One caveat: a model mixing *noisy*
-//! [`crate::onn::MziLinear`]-style layers (which draw from the shared RNG
-//! mid-forward) with noisy PTC layers consumes the stream in prebuild
-//! order — deterministic, but a different fixed sequence than the
-//! interleaved walk.
+//! its layer's forward. One caveat: a model mixing *noisy* MZI weights
+//! ([`crate::onn::MziMesh`], which draw from the shared RNG mid-forward)
+//! with noisy PTC layers consumes the stream in prebuild order —
+//! deterministic, but a different fixed sequence than the interleaved
+//! walk.
 
 use crate::layers::Layer;
 use crate::mesh::{prebuild_mesh_weights, MeshWeight};
@@ -394,18 +394,9 @@ mod tests {
     fn variation_aware_training_runs_and_disables_noise_after() {
         let (train, test) = blob_datasets(60, 4, 2, 5);
         let mut store = ParamStore::new();
-        let topo = adept_photonics::BlockMeshTopology::butterfly(4);
         let mut model = crate::layers::Sequential::new();
         model.push(crate::layers::Flatten);
-        model.push(crate::onn::OnnLinear::new(
-            &mut store,
-            "fc",
-            4,
-            2,
-            topo.clone(),
-            topo,
-            1,
-        ));
+        model.push(crate::models::Backend::butterfly(4).linear(&mut store, "fc", 4, 2, 1));
         let cfg = TrainConfig {
             epochs: 4,
             batch_size: 20,

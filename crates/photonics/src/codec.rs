@@ -12,6 +12,7 @@
 //!   (`device spec line N: …`, `checkpoint line N: …`);
 //! * [`int`] and [`hex`], the token parsers behind every integer and hex
 //!   word either format reads;
+//! * [`check_k`], the PTC-size rule of every mesh, MZI or block;
 //! * [`mesh_block`], the one block parser, which enforces the block rules
 //!   of [`MeshBlock::check`];
 //! * [`fnv1a`], the hash behind the checkpoint checksum, fault
@@ -98,6 +99,20 @@ pub fn int<T: FromStr>(token: &str) -> Result<T, String> {
 pub fn hex(token: &str) -> Result<u64, String> {
     u64::from_str_radix(token, 16)
         .map_err(|_| format!("expected a 16-hex-digit bit pattern, got `{token}`"))
+}
+
+/// The PTC-size rule every mesh obeys, MZI or block: `k ≥ 2` ports.
+/// Device specs, checkpoint `backend` records and [`MeshBlock::check`]
+/// all apply it.
+///
+/// # Errors
+///
+/// Names the rejected `k`.
+pub fn check_k(k: usize) -> Result<(), String> {
+    if k < 2 {
+        return Err(format!("k must be ≥ 2, got {k}"));
+    }
+    Ok(())
 }
 
 /// Parses one block of a `k`-port mesh from its three fields: the

@@ -530,12 +530,7 @@ fn build_topology(s: &Section) -> Result<TopologySpec, SpecError> {
     let kind = str_value(kind_entry)?;
     let k_entry = s.require("k")?;
     let k = int_value(k_entry)?;
-    if k < 2 {
-        return Err(SpecError::at(
-            k_entry.line,
-            format!("k must be ≥ 2, got {k}"),
-        ));
-    }
+    codec::check_k(k).map_err(|m| SpecError::at(k_entry.line, m))?;
     let reject_key = |key: &str| -> Result<(), SpecError> {
         match s.get(key) {
             Some(e) => Err(SpecError::at(

@@ -33,18 +33,16 @@ impl MeshBlock {
     }
 
     /// The rules every block of a `k`-port mesh obeys, wherever it comes
-    /// from: `k ≥ 2`, `dc_start` ∈ {0, 1}, one coupler flag per slot and a
-    /// permutation of exactly `k` wires (bijective by construction of
-    /// [`Permutation`]). Checked in this order, so no slot arithmetic runs
-    /// on an invalid `k` or `dc_start`.
+    /// from: `k ≥ 2` ([`crate::codec::check_k`]), `dc_start` ∈ {0, 1},
+    /// one coupler flag per slot and a permutation of exactly `k` wires
+    /// (bijective by construction of [`Permutation`]). Checked in this
+    /// order, so no slot arithmetic runs on an invalid `k` or `dc_start`.
     ///
     /// # Errors
     ///
     /// Names the first violated rule.
     pub fn check(&self, k: usize) -> Result<(), String> {
-        if k < 2 {
-            return Err(format!("k must be ≥ 2, got {k}"));
-        }
+        crate::codec::check_k(k)?;
         if self.dc_start > 1 {
             return Err(format!("dc_start must be 0 or 1, got {}", self.dc_start));
         }

@@ -22,9 +22,8 @@ use adept_autodiff::Graph;
 use adept_infer::{ExecPlan, PlanPrecision};
 use adept_nn::layers::{Conv2d, Flatten, Layer, Linear, Relu, Sequential};
 use adept_nn::models::{proxy_cnn, Backend, InputShape};
-use adept_nn::onn::OnnLinear;
 use adept_nn::{prebuild_mesh_weights, ForwardCtx, ParamStore};
-use adept_photonics::{BlockMeshTopology, Pdk};
+use adept_photonics::Pdk;
 use adept_tensor::{Conv2dGeometry, Tensor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -152,28 +151,12 @@ fn ragged_shapes_match_tape() {
     // 10→6→3 with K=4 tiles: every matrix dimension is a non-multiple of
     // K, exercising the ragged GemmSpec sweep and partial tiles.
     let mut store = ParamStore::new();
-    let topo = BlockMeshTopology::butterfly(4);
+    let backend = Backend::butterfly(4);
     let mut model = Sequential::new();
     model.push(Flatten);
-    model.push(OnnLinear::new(
-        &mut store,
-        "fc1",
-        10,
-        6,
-        topo.clone(),
-        topo.clone(),
-        11,
-    ));
+    model.push(backend.linear(&mut store, "fc1", 10, 6, 11));
     model.push(Relu);
-    model.push(OnnLinear::new(
-        &mut store,
-        "fc2",
-        6,
-        3,
-        topo.clone(),
-        topo,
-        12,
-    ));
+    model.push(backend.linear(&mut store, "fc2", 6, 3, 12));
     assert_parity(&mut model, &store, &[10], 33, true);
 }
 

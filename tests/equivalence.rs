@@ -119,15 +119,7 @@ fn searched_topology_round_trips_through_nn_layer() {
     cfg.max_blocks_per_side = 3;
     let out = search(&cfg);
     let mut store = ParamStore::new();
-    let mut layer = adept_nn::onn::OnnLinear::new(
-        &mut store,
-        "fc",
-        12,
-        5,
-        out.design.topo_u.clone(),
-        out.design.topo_v.clone(),
-        1,
-    );
+    let mut layer = out.backend().linear(&mut store, "fc", 12, 5, 1);
     use adept_nn::layers::Layer;
     let graph = Graph::new();
     let ctx = ForwardCtx::new(&graph, &store, true, 0);

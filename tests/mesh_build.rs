@@ -12,9 +12,8 @@
 
 use adept_autodiff::Graph;
 use adept_nn::layers::{Flatten, Layer, Sequential};
-use adept_nn::onn::{OnnConv2d, OnnLinear};
+use adept_nn::models::Backend;
 use adept_nn::{prebuild_mesh_weights, ForwardCtx, ParamStore};
-use adept_photonics::BlockMeshTopology;
 use adept_tensor::{Conv2dGeometry, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -77,22 +76,13 @@ fn assert_prebuild_matches_interleaved(
 /// A 3-layer ONN MLP with ragged feature counts (cropped edge tiles on
 /// every layer for K = 4).
 fn ragged_mlp(store: &mut ParamStore, noise: f64) -> Sequential {
-    let topo = BlockMeshTopology::butterfly(4);
+    let backend = Backend::butterfly(4);
     let mut model = Sequential::new();
     model.push(Flatten);
     for (i, (inf, outf)) in [(10usize, 9usize), (9, 7), (7, 3)].iter().enumerate() {
-        let mut layer = OnnLinear::new(
-            store,
-            &format!("fc{i}"),
-            *inf,
-            *outf,
-            topo.clone(),
-            topo.clone(),
-            60 + i as u64,
-        );
-        layer.weight.phase_noise_std = noise;
-        model.push(layer);
+        model.push(backend.linear(store, &format!("fc{i}"), *inf, *outf, 60 + i as u64));
     }
+    model.set_phase_noise(noise);
     model
 }
 
@@ -134,27 +124,11 @@ fn conv_layers_with_cropped_tiles_stay_deterministic() {
         padding: 1,
     };
     // col_rows = 9 on K=4 → ragged grid; 6 output channels → ragged rows.
-    let topo = BlockMeshTopology::butterfly(4);
+    let backend = Backend::butterfly(4);
     let mut model = Sequential::new();
-    model.push(OnnConv2d::new(
-        &mut store,
-        "conv",
-        geom,
-        6,
-        topo.clone(),
-        topo.clone(),
-        80,
-    ));
+    model.push(backend.conv(&mut store, "conv", geom, 6, 80));
     model.push(Flatten);
-    model.push(OnnLinear::new(
-        &mut store,
-        "head",
-        6 * 8 * 8,
-        3,
-        topo.clone(),
-        topo,
-        81,
-    ));
+    model.push(backend.linear(&mut store, "head", 6 * 8 * 8, 3, 81));
     let mut rng = StdRng::seed_from_u64(4);
     let x = Tensor::rand_uniform(&mut rng, &[2, 1, 8, 8], -1.0, 1.0);
     let labels = vec![0usize, 2];
@@ -182,24 +156,17 @@ proptest! {
             dims.push(2 + (rand::Rng::gen_range(&mut rng, 0..18usize)));
         }
         let classes = *dims.last().unwrap();
-        let topo = BlockMeshTopology::butterfly(k);
+        let backend = Backend::butterfly(k);
         let mut store = ParamStore::new();
         let mut model = Sequential::new();
         model.push(Flatten);
         for i in 0..n_layers {
-            let mut layer = OnnLinear::new(
-                &mut store,
-                &format!("l{i}"),
-                dims[i],
-                dims[i + 1],
-                topo.clone(),
-                topo.clone(),
-                seed.wrapping_mul(31).wrapping_add(i as u64),
-            );
-            if noisy {
-                layer.weight.phase_noise_std = 0.02;
-            }
+            let layer_seed = seed.wrapping_mul(31).wrapping_add(i as u64);
+            let layer = backend.linear(&mut store, &format!("l{i}"), dims[i], dims[i + 1], layer_seed);
             model.push(layer);
+        }
+        if noisy {
+            model.set_phase_noise(0.02);
         }
         let n = 3;
         let x = Tensor::rand_uniform(&mut rng, &[n, 1, 1, dims[0]], -1.0, 1.0);

@@ -10,13 +10,20 @@
 //! genericization, and every GEMM kernel change since, must not move a
 //! single f64 output bit. `EXPECTED_LOGITS_FNV` was captured on the
 //! quickstart-scale CNN before the dtype axis landed, and CI checks it
-//! under every `ONN_THREADS` leg.
+//! under every `ONN_THREADS` leg. `REALIZATION_PINS` extends it to
+//! training: one epoch of every weight realization (MZI, fixed-mesh PTC,
+//! electronic, SuperMesh search), folded into one word each.
 
+use adept::search::{search, AdeptConfig};
 use adept_bench::conv_im2col_gemm;
+use adept_datasets::{DatasetKind, SyntheticConfig};
 use adept_infer::{ExecPlan, PlanPrecision};
-use adept_nn::models::{proxy_cnn, Backend, InputShape};
+use adept_nn::layers::{Layer, Sequential};
+use adept_nn::models::{lenet5, proxy_cnn, proxy_cnn_electronic, Backend, InputShape};
+use adept_nn::train::{evaluate_seeded, train_classifier, TrainConfig};
 use adept_nn::ParamStore;
 use adept_photonics::codec::{fnv1a, FNV_OFFSET};
+use adept_photonics::Pdk;
 use adept_tensor::{
     batched_matmul_ragged_into, Conv2dGeometry, ConvLanes, DirectConv, Element, GemmSpec, Tile,
 };
@@ -104,6 +111,135 @@ fn f64_plan_bits_pinned_to_pre_refactor_baseline() {
         got, EXPECTED_LOGITS_FNV,
         "f64 plan logits drifted: fnv {got:#018x}"
     );
+}
+
+/// Trains `model` for one epoch at phase-noise `noise`, then folds into
+/// one FNV-1a word: every parameter's name and bits in registration
+/// order, the loss history and clean test accuracy, one noisy
+/// `evaluate_seeded`, and the logits of an `F64` plan compiled with the
+/// noise still on (so a noisy weight's frozen replay is pinned too).
+fn trained_fingerprint(model: &mut Sequential, store: &mut ParamStore, noise: f64) -> u64 {
+    let (train, test) = SyntheticConfig::new(DatasetKind::MnistLike)
+        .with_image_size(8)
+        .with_classes(4)
+        .with_sizes(32, 16)
+        .generate(3);
+    let cfg = TrainConfig {
+        epochs: 1,
+        batch_size: 16,
+        lr: 5e-3,
+        seed: 11,
+        phase_noise_std: noise,
+        fault: None,
+    };
+    let report = train_classifier(model, store, &train, &test, &cfg);
+    let mut h = FNV_OFFSET;
+    for id in store.ids() {
+        h = fnv1a(h, store.name(id).as_bytes());
+        h = fnv1a(h, &fnv1a_bits(store.value(id).as_slice()).to_le_bytes());
+    }
+    h = fnv1a(h, &fnv1a_bits(&report.loss_history).to_le_bytes());
+    h = fnv1a(h, &report.test_accuracy.to_bits().to_le_bytes());
+    model.set_phase_noise(noise);
+    let noisy_acc = evaluate_seeded(model, store, &test, 8, 5);
+    h = fnv1a(h, &noisy_acc.to_bits().to_le_bytes());
+    let mut plan = ExecPlan::compile(model, store, &[1, 8, 8], 3, 7, PlanPrecision::F64).unwrap();
+    let input = synth_input(3 * plan.input_elems());
+    let mut out = vec![0.0; 3 * plan.output_features()];
+    plan.run_batch(&input, 3, &mut out);
+    fnv1a(h, &fnv1a_bits(&out).to_le_bytes())
+}
+
+/// The per-epoch history, proxy accuracy and design of a tiny ADEPT
+/// search, folded like [`trained_fingerprint`].
+fn search_fingerprint() -> u64 {
+    let mut cfg = AdeptConfig::quick(8, Pdk::amf(), 240.0, 300.0);
+    cfg.epochs = 3;
+    cfg.warmup_epochs = 1;
+    cfg.spl_epoch = 2;
+    cfg.n_train = 32;
+    cfg.n_test = 16;
+    cfg.image_size = 6;
+    cfg.channels = 3;
+    cfg.classes = 4;
+    cfg.max_blocks_per_side = 3;
+    let out = search(&cfg);
+    let mut xs = vec![out.proxy_accuracy, out.footprint_kum2()];
+    for e in &out.history {
+        xs.extend([
+            e.tau,
+            e.train_loss,
+            e.mean_delta,
+            e.mean_lambda,
+            e.rho,
+            e.expected_f_kum2,
+        ]);
+    }
+    fnv1a_bits(&xs)
+}
+
+/// Every weight realization's numbers — MZI, butterfly and dense-mesh PTC
+/// at phase noise 0 and 0.02, the electronic CNN, and the SuperMesh
+/// search — captured at the commit before the conv and linear layers
+/// were unified over one weight type. The tape-vs-plan and save-vs-load
+/// tests compare two sides that could drift together; these cannot.
+const REALIZATION_PINS: [(&str, u64); 14] = [
+    ("proxy_cnn mzi4 noise 0", 0xb754b6bf23bf614c),
+    ("proxy_cnn mzi4 noise 0.02", 0xd246f14258d6a446),
+    ("proxy_cnn butterfly4 noise 0", 0x710846fb91a0984d),
+    ("proxy_cnn butterfly4 noise 0.02", 0xb4310c76cfe4fbc9),
+    ("proxy_cnn dense4x2 noise 0", 0xd1a1c9787e839fdb),
+    ("proxy_cnn dense4x2 noise 0.02", 0xaffd6e0aef37b5a6),
+    ("lenet5 mzi4 noise 0", 0x2533fe0e15884aa0),
+    ("lenet5 mzi4 noise 0.02", 0xc68a720905f64bce),
+    ("lenet5 butterfly4 noise 0", 0xe709defdde0c669d),
+    ("lenet5 butterfly4 noise 0.02", 0x3985e81fc9c0177c),
+    ("lenet5 dense4x2 noise 0", 0xa6df16819ed72ba1),
+    ("lenet5 dense4x2 noise 0.02", 0x034e642ea50faf9f),
+    ("proxy_cnn_electronic", 0x48a4465f6a1a5b77),
+    ("search history", 0xfbc4b68069bde51e),
+];
+
+#[test]
+fn weight_realizations_pinned_bitwise() {
+    let input = InputShape::new(1, 8, 8);
+    let backends = [
+        ("mzi4", Backend::Mzi { k: 4 }),
+        ("butterfly4", Backend::butterfly(4)),
+        ("dense4x2", Backend::dense(4, 2)),
+    ];
+    let mut got: Vec<(String, u64)> = Vec::new();
+    for model_name in ["proxy_cnn", "lenet5"] {
+        for (backend_name, backend) in &backends {
+            for noise in [0.0, 0.02] {
+                let mut store = ParamStore::new();
+                let mut model = match model_name {
+                    "proxy_cnn" => proxy_cnn(&mut store, input, 4, 4, backend, 21),
+                    _ => lenet5(&mut store, input, 4, backend, 0.3, 21),
+                };
+                got.push((
+                    format!("{model_name} {backend_name} noise {noise}"),
+                    trained_fingerprint(&mut model, &mut store, noise),
+                ));
+            }
+        }
+    }
+    let mut store = ParamStore::new();
+    let mut model = proxy_cnn_electronic(&mut store, input, 4, 4, 21);
+    got.push((
+        "proxy_cnn_electronic".to_owned(),
+        trained_fingerprint(&mut model, &mut store, 0.0),
+    ));
+    got.push(("search history".to_owned(), search_fingerprint()));
+    let table: String = got
+        .iter()
+        .map(|(name, h)| format!("    (\"{name}\", {h:#018x}),\n"))
+        .collect();
+    let want: Vec<(String, u64)> = REALIZATION_PINS
+        .iter()
+        .map(|&(name, h)| (name.to_owned(), h))
+        .collect();
+    assert_eq!(got, want, "realization numbers drifted; got:\n{table}");
 }
 
 /// Documented f32 quantization tolerance: weights round once at freeze,
