@@ -88,8 +88,10 @@ where
     for (i, input) in inputs.iter().enumerate() {
         for e in 0..input.len() {
             let eval = |delta: f64| -> f64 {
+                let mut data = input.as_slice().to_vec();
+                data[e] += delta;
                 let mut perturbed: Vec<Tensor> = inputs.to_vec();
-                perturbed[i].as_mut_slice()[e] += delta;
+                perturbed[i] = Tensor::from_vec(data, input.shape());
                 let g = Graph::new();
                 let vs: Vec<Var<'_>> = perturbed.iter().map(|t| g.leaf(t.clone())).collect();
                 f(&g, &vs).value().item()

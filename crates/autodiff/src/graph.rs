@@ -173,9 +173,7 @@ impl Graph {
             nodes[loss.id].value.shape()
         );
         let mut grads: Vec<Option<Tensor>> = vec![None; nodes.len()];
-        let mut seed = Tensor::zeros(nodes[loss.id].value.shape());
-        seed.as_mut_slice()[0] = 1.0;
-        grads[loss.id] = Some(seed);
+        grads[loss.id] = Some(Tensor::ones(nodes[loss.id].value.shape()));
         let _sweep = adept_telemetry::span_volatile("backward/glue_sweep");
         for id in (0..=loss.id).rev() {
             let Some(grad) = grads[id].take() else {

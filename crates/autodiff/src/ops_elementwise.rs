@@ -3,36 +3,6 @@
 use crate::graph::Var;
 use adept_tensor::Tensor;
 
-/// Reduces `grad` (shaped like the broadcast output) back to `target`'s
-/// shape by summing over broadcast dimensions.
-pub(crate) fn reduce_grad_to(grad: &Tensor, target: &[usize]) -> Tensor {
-    if grad.shape() == target {
-        return grad.clone();
-    }
-    let gdims = grad.shape().to_vec();
-    let rank = gdims.len();
-    let mut tdims = vec![1usize; rank];
-    tdims[rank - target.len()..].copy_from_slice(target);
-    // Walk the output and accumulate into the (strided) target index.
-    let gstrides = grad.shape_obj().strides();
-    let tshape = adept_tensor::Shape::new(&tdims);
-    let tstrides = tshape.strides();
-    let mut out = Tensor::zeros(&tdims);
-    let dst = out.as_mut_slice();
-    let src = grad.as_slice();
-    for (flat, &g) in src.iter().enumerate() {
-        let mut toff = 0;
-        for d in 0..rank {
-            let i = (flat / gstrides[d]) % gdims[d];
-            if tdims[d] != 1 {
-                toff += i * tstrides[d];
-            }
-        }
-        dst[toff] += g;
-    }
-    out.reshape(target)
-}
-
 macro_rules! binary_op {
     ($(#[$meta:meta])* $name:ident, |$a:ident, $b:ident| $fwd:expr,
      |$ga:ident, $av:ident, $bv:ident| $grad_a:expr,
@@ -61,8 +31,8 @@ macro_rules! binary_op {
                         $grad_b
                     };
                     vec![
-                        Some(reduce_grad_to(&ga, &ash)),
-                        Some(reduce_grad_to(&gb, &bsh)),
+                        Some(ga.sum_to(&ash)),
+                        Some(gb.sum_to(&bsh)),
                     ]
                 }),
             )

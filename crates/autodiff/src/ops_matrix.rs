@@ -215,24 +215,21 @@ impl<'g> Var<'g> {
         assert_eq!(v.len(), positions.len(), "positions length mismatch");
         let total: usize = out_shape.iter().product();
         let mut seen = vec![false; total];
-        let mut out = Tensor::zeros(out_shape);
-        for (i, &p) in positions.iter().enumerate() {
+        let mut out = vec![0.0; total];
+        for (&p, &x) in positions.iter().zip(v.as_slice()) {
             assert!(p < total, "position {p} out of bounds for {total}");
             assert!(!seen[p], "duplicate scatter position {p}");
             seen[p] = true;
-            out.as_mut_slice()[p] = v.as_slice()[i];
+            out[p] = x;
         }
         let positions = positions.to_vec();
-        let n = v.len();
         self.graph.custom(
             &[self],
-            out,
+            Tensor::from_vec(out, out_shape),
             Box::new(move |g| {
-                let mut gv = Tensor::zeros(&[n]);
-                for (i, &p) in positions.iter().enumerate() {
-                    gv.as_mut_slice()[i] = g.as_slice()[p];
-                }
-                vec![Some(gv)]
+                let g = g.as_slice();
+                let gv = positions.iter().map(|&p| g[p]).collect();
+                vec![Some(Tensor::from_vec(gv, &[positions.len()]))]
             }),
         )
     }
@@ -247,11 +244,12 @@ impl<'g> Var<'g> {
     pub fn gather(self, positions: &[usize]) -> Var<'g> {
         let v = self.value();
         let total = v.len();
+        let src = v.as_slice();
         let data: Vec<f64> = positions
             .iter()
             .map(|&p| {
                 assert!(p < total, "position {p} out of bounds for {total}");
-                v.as_slice()[p]
+                src[p]
             })
             .collect();
         let out = Tensor::from_vec(data, &[positions.len()]);
@@ -261,11 +259,11 @@ impl<'g> Var<'g> {
             &[self],
             out,
             Box::new(move |g| {
-                let mut gv = Tensor::zeros(&shape);
-                for (i, &p) in positions.iter().enumerate() {
-                    gv.as_mut_slice()[p] += g.as_slice()[i];
+                let mut gv = vec![0.0; total];
+                for (&p, &gi) in positions.iter().zip(g.as_slice()) {
+                    gv[p] += gi;
                 }
-                vec![Some(gv)]
+                vec![Some(Tensor::from_vec(gv, &shape))]
             }),
         )
     }

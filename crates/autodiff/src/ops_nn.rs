@@ -42,12 +42,13 @@ impl<'g> Var<'g> {
             Box::new(move |g| {
                 let (r, c) = (y_saved.shape()[0], y_saved.shape()[1]);
                 let mut out = Tensor::zeros(&[r, c]);
+                let dst = out.as_mut_slice();
                 for i in 0..r {
                     let yr = &y_saved.as_slice()[i * c..(i + 1) * c];
                     let gr = &g.as_slice()[i * c..(i + 1) * c];
                     let dot: f64 = yr.iter().zip(gr).map(|(a, b)| a * b).sum();
                     for j in 0..c {
-                        out.as_mut_slice()[i * c + j] = yr[j] * (gr[j] - dot);
+                        dst[i * c + j] = yr[j] * (gr[j] - dot);
                     }
                 }
                 vec![Some(out)]
@@ -85,12 +86,13 @@ impl<'g> Var<'g> {
             Box::new(move |g| {
                 let (r, c) = (p.shape()[0], p.shape()[1]);
                 let mut out = Tensor::zeros(&[r, c]);
+                let dst = out.as_mut_slice();
                 for i in 0..r {
                     let pr = &p.as_slice()[i * c..(i + 1) * c];
                     let gr = &g.as_slice()[i * c..(i + 1) * c];
                     let gsum: f64 = gr.iter().sum();
                     for j in 0..c {
-                        out.as_mut_slice()[i * c + j] = gr[j] - pr[j] * gsum;
+                        dst[i * c + j] = gr[j] - pr[j] * gsum;
                     }
                 }
                 vec![Some(out)]
@@ -126,8 +128,9 @@ impl<'g> Var<'g> {
             Box::new(move |g| {
                 let scale = g.item() / n as f64;
                 let mut out = p.clone();
+                let dst = out.as_mut_slice();
                 for (i, &l) in labels.iter().enumerate() {
-                    out.as_mut_slice()[i * c + l] -= 1.0;
+                    dst[i * c + l] -= 1.0;
                 }
                 out.scale_inplace(scale);
                 vec![Some(out)]

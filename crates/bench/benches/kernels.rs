@@ -1,9 +1,11 @@
 //! Microbenchmarks of the numeric substrate: GEMM, im2col, SVD,
-//! permutation algebra and the Clements decomposition.
+//! permutation algebra, the Clements decomposition and the training tape's
+//! glue ops.
 
 use adept_autodiff::Graph;
 use adept_bench::conv_im2col_gemm;
 use adept_linalg::{polar_orthogonal, svd, Permutation};
+use adept_nn::layers::{batch_norm2d_op, AvgPool2d, Layer};
 use adept_nn::onn::PtcWeight;
 use adept_nn::{ForwardCtx, ParamStore};
 use adept_photonics::clements::decompose;
@@ -262,6 +264,77 @@ fn bench_conv_forward(c: &mut Criterion) {
     group.finish();
 }
 
+/// Forward plus backward of the training tape's glue ops at `design`'s
+/// conv1 output shape `[16, 6, 10, 10]`: batch norm, the conv bias add
+/// (a `[6, 1, 1]` broadcast), the NCHW reorder of the conv GEMM's
+/// `[6, 1600]` columns (a gather), the 3×3 average pool, and one
+/// SuperMesh gate (`[1]` × `[14, 8, 8]` tile stack). Each iteration
+/// records the op and a sum on a fresh tape and runs the reverse sweep.
+fn bench_tape_glue(c: &mut Criterion) {
+    let (n, ch, h, w) = (16usize, 6usize, 10usize, 10usize);
+    let mut rng = StdRng::seed_from_u64(11);
+    let x = Tensor::rand_uniform(&mut rng, &[n, ch, h, w], -1.0, 1.0);
+    let gamma = Tensor::rand_uniform(&mut rng, &[ch], 0.5, 1.5);
+    let beta = Tensor::rand_uniform(&mut rng, &[ch], -0.5, 0.5);
+    let cols = Tensor::rand_uniform(&mut rng, &[ch, n * h * w], -1.0, 1.0);
+    let gate = Tensor::rand_uniform(&mut rng, &[1], 0.0, 1.0);
+    let tiles = Tensor::rand_uniform(&mut rng, &[14, 8, 8], -1.0, 1.0);
+    // `cols_to_nchw`'s reorder: column `ni·P + pix` of channel row `c`
+    // lands at NCHW `(ni, c, pix)`.
+    let p = h * w;
+    let positions: Vec<usize> = (0..n * ch * p)
+        .map(|i| (i / p % ch) * (n * p) + i / (ch * p) * p + i % p)
+        .collect();
+    let store = ParamStore::new();
+    let mut group = c.benchmark_group("tape_glue");
+    group.bench_function("batch_norm", |b| {
+        b.iter(|| {
+            let graph = Graph::new();
+            let (xv, g, be) = (
+                graph.leaf(x.clone()),
+                graph.leaf(gamma.clone()),
+                graph.leaf(beta.clone()),
+            );
+            let (y, _, _) = batch_norm2d_op(xv, g, be, true, None, 1e-5);
+            black_box(graph.backward(y.sum()))
+        });
+    });
+    group.bench_function("bias_add", |b| {
+        b.iter(|| {
+            let graph = Graph::new();
+            let (xv, bias) = (graph.leaf(x.clone()), graph.leaf(beta.clone()));
+            let y = xv.add(bias.reshape(&[ch, 1, 1]));
+            black_box(graph.backward(y.sum()))
+        });
+    });
+    group.bench_function("nchw_reorder", |b| {
+        b.iter(|| {
+            let graph = Graph::new();
+            let y = graph
+                .leaf(cols.clone())
+                .reshape(&[ch * n * p])
+                .gather(&positions);
+            black_box(graph.backward(y.reshape(&[n, ch, h, w]).sum()))
+        });
+    });
+    group.bench_function("avg_pool_3x3", |b| {
+        b.iter(|| {
+            let graph = Graph::new();
+            let ctx = ForwardCtx::new(&graph, &store, true, 0);
+            let y = AvgPool2d::new(3).forward(&ctx, graph.leaf(x.clone()));
+            black_box(graph.backward(y.sum()))
+        });
+    });
+    group.bench_function("gate_14x8x8", |b| {
+        b.iter(|| {
+            let graph = Graph::new();
+            let y = graph.leaf(gate.clone()).mul(graph.leaf(tiles.clone()));
+            black_box(graph.backward(y.sum()))
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_gemm,
@@ -273,6 +346,7 @@ criterion_group!(
     bench_tile_assembly,
     bench_unitary_build,
     bench_im2col_reuse,
-    bench_conv_forward
+    bench_conv_forward,
+    bench_tape_glue
 );
 criterion_main!(benches);

@@ -132,6 +132,8 @@ impl AlmState {
     /// is dominated by the task-specific loss at the beginning and
     /// gradually honors the constraint", which requires λ ≈ 0 early on.
     pub fn update(&mut self, frames: &[(&MeshFrame<'_>, usize)]) {
+        let lambda_r = self.lambda_r.as_mut_slice();
+        let lambda_c = self.lambda_c.as_mut_slice();
         for (frame, block0) in frames {
             let k = frame.k;
             for (b, block) in frame.blocks.iter().enumerate() {
@@ -140,10 +142,10 @@ impl AlmState {
                 for i in 0..k {
                     let row = v.row(i);
                     let d = row.abs().sum() - row.norm();
-                    self.lambda_r.as_mut_slice()[bi * k + i] += self.rho * (d + 0.5 * d * d);
+                    lambda_r[bi * k + i] += self.rho * (d + 0.5 * d * d);
                     let col = v.col(i);
                     let dc = col.abs().sum() - col.norm();
-                    self.lambda_c.as_mut_slice()[bi * k + i] += self.rho * (dc + 0.5 * dc * dc);
+                    lambda_c[bi * k + i] += self.rho * (dc + 0.5 * dc * dc);
                 }
             }
         }

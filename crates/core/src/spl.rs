@@ -15,12 +15,11 @@ use rand::Rng;
 /// τ→0⁺ in the paper's notation). The result may be column-illegal.
 pub fn row_hardmax(p: &Tensor) -> Tensor {
     let (r, c) = (p.shape()[0], p.shape()[1]);
-    let mut out = Tensor::zeros(&[r, c]);
+    let mut out = vec![0.0; r * c];
     for i in 0..r {
-        let j = p.row(i).argmax();
-        out.as_mut_slice()[i * c + j] = 1.0;
+        out[i * c + p.row(i).argmax()] = 1.0;
     }
-    out
+    Tensor::from_vec(out, &[r, c])
 }
 
 /// Whether a 0/1 matrix is a legal permutation matrix.

@@ -92,10 +92,11 @@ impl SuperMeshHandles {
                 // short schedules can still discover non-identity routings.
                 let off = 1.0 / (2.0 * k as f64 - 2.0);
                 let mut p0 = Tensor::full(&[k, k], off);
+                let cells = p0.as_mut_slice();
                 for i in 0..k {
-                    p0.as_mut_slice()[i * k + i] = 0.5;
+                    cells[i * k + i] = 0.5;
                 }
-                for v in p0.as_mut_slice() {
+                for v in cells {
                     *v += rng.gen_range(0.0..0.5 * off);
                 }
                 perm.push(store.register(format!("{name}.p{b}"), p0, 0.0));
@@ -236,19 +237,18 @@ pub fn relaxed_permutation<'g>(ctx: &ForwardCtx<'g, '_>, raw: Var<'g>) -> Var<'g
     // Soft projection: rows that are ε-close to one-hot are rounded with
     // stopped gradients, preventing exploding ALM terms (paper §3.3.2).
     let v = p2.value();
-    let mut mask = Tensor::zeros(&[k, 1]);
-    let mut rounded = Tensor::zeros(&[k, k]);
+    let mut mask = vec![0.0; k];
+    let mut rounded = vec![0.0; k * k];
     for i in 0..k {
         let row = v.row(i);
         let maxv = row.max();
         if maxv >= 1.0 - PROJECTION_EPS {
-            mask.as_mut_slice()[i] = 1.0;
-            let j = row.argmax();
-            rounded.as_mut_slice()[i * k + j] = 1.0;
+            mask[i] = 1.0;
+            rounded[i * k + row.argmax()] = 1.0;
         }
     }
-    let rounded = ctx.constant(rounded);
-    rounded.select_const(&mask, p2)
+    let rounded = ctx.constant(Tensor::from_vec(rounded, &[k, k]));
+    rounded.select_const(&Tensor::from_vec(mask, &[k, 1]), p2)
 }
 
 /// Binarization-aware coupler transmission (Eq. 14): forward quantizes the
@@ -337,17 +337,17 @@ fn coupler_column_vars<'g>(
         off_ab.push(a * k + b);
         off_ba.push(b * k + a);
     }
-    let mut rest = Tensor::zeros(&[k, k]);
+    let mut rest = vec![0.0; k * k];
     for (i, &cov) in covered.iter().enumerate() {
         if !cov {
-            rest.as_mut_slice()[i * k + i] = 1.0;
+            rest[i * k + i] = 1.0;
         }
     }
     let t_re = frame
         .t_binary
         .scatter(&[k, k], &diag_a)
         .add(frame.t_binary.scatter(&[k, k], &diag_b))
-        .add(graph.constant(rest));
+        .add(graph.constant(Tensor::from_vec(rest, &[k, k])));
     let t_im = frame
         .kappa
         .scatter(&[k, k], &off_ab)

@@ -232,11 +232,13 @@ impl SyntheticConfig {
         (0..self.num_classes)
             .map(|_| {
                 let own = smooth_pattern(rng, s, c);
-                let mut p = Tensor::zeros(&[c, s, s]);
-                for i in 0..p.len() {
-                    p.as_mut_slice()[i] = d.class_overlap * base.as_slice()[i]
-                        + (1.0 - d.class_overlap) * own.as_slice()[i];
-                }
+                let mixed = base.as_slice().iter().zip(own.as_slice());
+                let mut p = Tensor::from_vec(
+                    mixed
+                        .map(|(&b, &o)| d.class_overlap * b + (1.0 - d.class_overlap) * o)
+                        .collect(),
+                    &[c, s, s],
+                );
                 normalize(&mut p);
                 p
             })
@@ -314,6 +316,7 @@ fn smooth_pattern(rng: &mut StdRng, s: usize, channels: usize) -> Tensor {
         rng.gen_range(0.2..1.0),
         rng.gen_range(0.0..std::f64::consts::TAU),
     );
+    let cells = t.as_mut_slice();
     for ch in 0..channels {
         let ch_rot = ch as f64 * 0.8;
         for y in 0..s {
@@ -324,7 +327,7 @@ fn smooth_pattern(rng: &mut StdRng, s: usize, channels: usize) -> Tensor {
                     v += a * (1.0 - 0.4 * (cph * ch_rot)) * (-r2 / (2.0 * sigma * sigma)).exp();
                 }
                 v += 0.6 * (fy * y as f64 + fx * x as f64 + ph + ch_rot).sin();
-                *t.at_mut(&[ch, y, x]) = v;
+                cells[(ch * s + y) * s + x] = v;
             }
         }
     }

@@ -183,11 +183,11 @@ impl Permutation {
     /// `P · x` computes `x[perm[i]]` at output `i`.
     pub fn to_matrix(&self) -> Tensor {
         let n = self.len();
-        let mut m = Tensor::zeros(&[n, n]);
+        let mut m = vec![0.0; n * n];
         for (i, &v) in self.image.iter().enumerate() {
-            m.as_mut_slice()[i * n + v] = 1.0;
+            m[i * n + v] = 1.0;
         }
-        m
+        Tensor::from_vec(m, &[n, n])
     }
 
     /// Recovers a permutation from a 0/1 matrix within tolerance `tol`.

@@ -25,10 +25,11 @@ impl Svd {
     pub fn reconstruct(&self) -> Tensor {
         let n = self.s.len();
         let mut us = self.u.clone();
-        let (m, _) = (us.shape()[0], us.shape()[1]);
+        let m = us.shape()[0];
+        let cells = us.as_mut_slice();
         for i in 0..m {
             for j in 0..n {
-                us.as_mut_slice()[i * n + j] *= self.s[j];
+                cells[i * n + j] *= self.s[j];
             }
         }
         us.matmul(&self.v.transpose())
@@ -120,10 +121,11 @@ pub fn svd(a: &Tensor) -> Svd {
         })
         .collect();
     let mut u = w;
+    let cells = u.as_mut_slice();
     for j in 0..n {
         let norm = if s[j] > 1e-300 { s[j] } else { 1.0 };
         for i in 0..m {
-            u.as_mut_slice()[i * n + j] /= norm;
+            cells[i * n + j] /= norm;
         }
     }
     // Rank-deficient inputs leave (near-)zero columns in U; complete them to
@@ -162,21 +164,23 @@ pub fn svd(a: &Tensor) -> Svd {
         }
         let (norm, v) = best.expect("at least one candidate");
         assert!(norm > 1e-8, "null-space completion failed (norm {norm})");
+        let cells = u.as_mut_slice();
         for (i, vi) in v.iter().enumerate() {
-            u.as_mut_slice()[i * n + j] = vi / norm;
+            cells[i * n + j] = vi / norm;
         }
     }
     // Sort singular values descending, permuting U and V columns alike.
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| s[b].partial_cmp(&s[a]).unwrap());
     let permute_cols = |t: &Tensor, rows: usize| {
-        let mut out = t.clone();
+        let src = t.as_slice();
+        let mut out = vec![0.0; rows * n];
         for (new_j, &old_j) in order.iter().enumerate() {
             for i in 0..rows {
-                out.as_mut_slice()[i * n + new_j] = t.as_slice()[i * n + old_j];
+                out[i * n + new_j] = src[i * n + old_j];
             }
         }
-        out
+        Tensor::from_vec(out, &[rows, n])
     };
     u = permute_cols(&u, m);
     let v_sorted = permute_cols(&v, n);

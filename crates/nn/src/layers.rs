@@ -433,21 +433,24 @@ pub fn batch_norm2d_op<'g>(
     let v = x.value();
     assert_eq!(v.rank(), 4, "batch_norm2d_op expects NCHW");
     let (n, c, h, w) = (v.shape()[0], v.shape()[1], v.shape()[2], v.shape()[3]);
-    let per = (n * h * w) as f64;
+    let hw = h * w;
+    let per = (n * hw) as f64;
+    let src = v.as_slice();
+    // Every loop below walks (sample, channel) planes: plane `ni * c + ci`
+    // is the contiguous run `[(ni * c + ci) * hw, … + hw)`.
+    let plane = move |ni: usize, ci: usize| (ni * c + ci) * hw..(ni * c + ci + 1) * hw;
     let (mean, var) = if training {
         let mut mean = vec![0.0f64; c];
         let mut var = vec![0.0f64; c];
         for ci in 0..c {
             let mut s = 0.0;
             for ni in 0..n {
-                let off = ((ni * c + ci) * h) * w;
-                s += v.as_slice()[off..off + h * w].iter().sum::<f64>();
+                s += src[plane(ni, ci)].iter().sum::<f64>();
             }
             mean[ci] = s / per;
             let mut s2 = 0.0;
             for ni in 0..n {
-                let off = ((ni * c + ci) * h) * w;
-                s2 += v.as_slice()[off..off + h * w]
+                s2 += src[plane(ni, ci)]
                     .iter()
                     .map(|&x| (x - mean[ci]) * (x - mean[ci]))
                     .sum::<f64>();
@@ -460,24 +463,18 @@ pub fn batch_norm2d_op<'g>(
         (m.to_vec(), vv.to_vec())
     };
     let inv_std: Vec<f64> = var.iter().map(|&x| 1.0 / (x + eps).sqrt()).collect();
-    let mut xhat = v.clone();
-    for ni in 0..n {
-        for ci in 0..c {
-            let off = ((ni * c + ci) * h) * w;
-            for p in 0..h * w {
-                xhat.as_mut_slice()[off + p] = (v.as_slice()[off + p] - mean[ci]) * inv_std[ci];
-            }
-        }
-    }
     let gval = gamma.value();
     let bval = beta.value();
-    let mut out = xhat.clone();
+    let (gam, bet) = (gval.as_slice(), bval.as_slice());
+    let mut xhat = vec![0.0; src.len()];
+    let mut out = vec![0.0; src.len()];
     for ni in 0..n {
         for ci in 0..c {
-            let off = ((ni * c + ci) * h) * w;
-            for p in 0..h * w {
-                out.as_mut_slice()[off + p] =
-                    out.as_slice()[off + p] * gval.as_slice()[ci] + bval.as_slice()[ci];
+            let r = plane(ni, ci);
+            let planes = xhat[r.clone()].iter_mut().zip(&mut out[r.clone()]);
+            for ((xh, y), &x) in planes.zip(&src[r]) {
+                *xh = (x - mean[ci]) * inv_std[ci];
+                *y = *xh * gam[ci] + bet[ci];
             }
         }
     }
@@ -487,39 +484,42 @@ pub fn batch_norm2d_op<'g>(
     let var_out = var.clone();
     let node = x.graph().custom(
         &[x, gamma, beta],
-        out,
+        Tensor::from_vec(out, &[n, c, h, w]),
         Box::new(move |g| {
-            let mut dgamma = Tensor::zeros(&[c]);
-            let mut dbeta = Tensor::zeros(&[c]);
-            let mut dx = Tensor::zeros(&[n, c, h, w]);
+            let (g, xhat) = (g.as_slice(), &xhat_saved[..]);
+            let gam = gval.as_slice();
+            let mut dgamma = vec![0.0; c];
+            let mut dbeta = vec![0.0; c];
+            let mut dx = vec![0.0; g.len()];
             for ci in 0..c {
                 let mut sum_g = 0.0;
                 let mut sum_gx = 0.0;
                 for ni in 0..n {
-                    let off = ((ni * c + ci) * h) * w;
-                    for p in 0..h * w {
-                        let gi = g.as_slice()[off + p];
+                    let r = plane(ni, ci);
+                    for (&gi, &xh) in g[r.clone()].iter().zip(&xhat[r]) {
                         sum_g += gi;
-                        sum_gx += gi * xhat_saved.as_slice()[off + p];
+                        sum_gx += gi * xh;
                     }
                 }
-                dbeta.as_mut_slice()[ci] = sum_g;
-                dgamma.as_mut_slice()[ci] = sum_gx;
-                let gam = gval.as_slice()[ci];
+                dbeta[ci] = sum_g;
+                dgamma[ci] = sum_gx;
                 for ni in 0..n {
-                    let off = ((ni * c + ci) * h) * w;
-                    for p in 0..h * w {
-                        let gi = g.as_slice()[off + p];
-                        let xh = xhat_saved.as_slice()[off + p];
-                        dx.as_mut_slice()[off + p] = if training {
-                            gam * inv_std_saved[ci] * (gi - sum_g / per - xh * sum_gx / per)
+                    let r = plane(ni, ci);
+                    let grads = g[r.clone()].iter().zip(&xhat[r.clone()]);
+                    for (d, (&gi, &xh)) in dx[r].iter_mut().zip(grads) {
+                        *d = if training {
+                            gam[ci] * inv_std_saved[ci] * (gi - sum_g / per - xh * sum_gx / per)
                         } else {
-                            gam * inv_std_saved[ci] * gi
+                            gam[ci] * inv_std_saved[ci] * gi
                         };
                     }
                 }
             }
-            vec![Some(dx), Some(dgamma), Some(dbeta)]
+            vec![
+                Some(Tensor::from_vec(dx, &[n, c, h, w])),
+                Some(Tensor::from_vec(dgamma, &[c])),
+                Some(Tensor::from_vec(dbeta, &[c])),
+            ]
         }),
     );
     (node, mean_out, var_out)
@@ -667,43 +667,48 @@ impl Layer for AvgPool2d {
             "pool window {k} larger than input {h}x{w}"
         );
         let (oh, ow) = (h / k, w / k);
-        let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        for ni in 0..n {
-            for ci in 0..c {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut s = 0.0;
-                        for dy in 0..k {
-                            for dx in 0..k {
-                                s += v.at(&[ni, ci, oy * k + dy, ox * k + dx]);
-                            }
+        let (hw, ohw) = (h * w, oh * ow);
+        // Each (sample, channel) plane pools on its own: input plane `i`
+        // is `src[i * hw..]`, output plane `i` is `out[i * ohw..]`.
+        let src = v.as_slice();
+        let mut out = vec![0.0; n * c * ohw];
+        for i in 0..n * c {
+            let xp = &src[i * hw..(i + 1) * hw];
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut s = 0.0;
+                    for dy in 0..k {
+                        let row = (oy * k + dy) * w + ox * k;
+                        for &x in &xp[row..row + k] {
+                            s += x;
                         }
-                        *out.at_mut(&[ni, ci, oy, ox]) = s / (k * k) as f64;
                     }
+                    out[i * ohw + oy * ow + ox] = s / (k * k) as f64;
                 }
             }
         }
         ctx.graph.custom(
             &[x],
-            out,
+            Tensor::from_vec(out, &[n, c, oh, ow]),
             Box::new(move |g| {
-                let mut dx = Tensor::zeros(&[n, c, h, w]);
+                let g = g.as_slice();
+                let mut dx = vec![0.0; n * c * hw];
                 let scale = 1.0 / (k * k) as f64;
-                for ni in 0..n {
-                    for ci in 0..c {
-                        for oy in 0..(h / k) {
-                            for ox in 0..(w / k) {
-                                let gi = g.at(&[ni, ci, oy, ox]) * scale;
-                                for dy in 0..k {
-                                    for dx2 in 0..k {
-                                        *dx.at_mut(&[ni, ci, oy * k + dy, ox * k + dx2]) += gi;
-                                    }
+                for i in 0..n * c {
+                    let dp = &mut dx[i * hw..(i + 1) * hw];
+                    for oy in 0..oh {
+                        for ox in 0..ow {
+                            let gi = g[i * ohw + oy * ow + ox] * scale;
+                            for dy in 0..k {
+                                let row = (oy * k + dy) * w + ox * k;
+                                for d in &mut dp[row..row + k] {
+                                    *d += gi;
                                 }
                             }
                         }
                     }
                 }
-                vec![Some(dx)]
+                vec![Some(Tensor::from_vec(dx, &[n, c, h, w]))]
             }),
         )
     }
@@ -749,38 +754,42 @@ impl Layer for MaxPool2d {
             "pool window {k} larger than input {h}x{w}"
         );
         let (oh, ow) = (h / k, w / k);
-        let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        let mut argmax = vec![0usize; n * c * oh * ow];
-        for ni in 0..n {
-            for ci in 0..c {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f64::NEG_INFINITY;
-                        let mut best_off = 0;
-                        for dy in 0..k {
-                            for dx in 0..k {
-                                let off = ((ni * c + ci) * h + oy * k + dy) * w + ox * k + dx;
-                                if v.as_slice()[off] > best {
-                                    best = v.as_slice()[off];
-                                    best_off = off;
-                                }
+        let (hw, ohw) = (h * w, oh * ow);
+        let src = v.as_slice();
+        let mut out = vec![0.0; n * c * ohw];
+        // Flat input offset of each output's window maximum.
+        let mut argmax = vec![0usize; n * c * ohw];
+        for i in 0..n * c {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    // A window of -inf or NaN values never beats `best`;
+                    // its gradient then goes to the window's first element,
+                    // never outside the window.
+                    let first = i * hw + oy * k * w + ox * k;
+                    let mut best = f64::NEG_INFINITY;
+                    let mut best_off = first;
+                    for dy in 0..k {
+                        for off in first + dy * w..first + dy * w + k {
+                            if src[off] > best {
+                                best = src[off];
+                                best_off = off;
                             }
                         }
-                        *out.at_mut(&[ni, ci, oy, ox]) = best;
-                        argmax[((ni * c + ci) * oh + oy) * ow + ox] = best_off;
                     }
+                    out[i * ohw + oy * ow + ox] = best;
+                    argmax[i * ohw + oy * ow + ox] = best_off;
                 }
             }
         }
         ctx.graph.custom(
             &[x],
-            out,
+            Tensor::from_vec(out, &[n, c, oh, ow]),
             Box::new(move |g| {
-                let mut dx = Tensor::zeros(&[n, c, h, w]);
-                for (i, &off) in argmax.iter().enumerate() {
-                    dx.as_mut_slice()[off] += g.as_slice()[i];
+                let mut dx = vec![0.0; n * c * hw];
+                for (&off, &gi) in argmax.iter().zip(g.as_slice()) {
+                    dx[off] += gi;
                 }
-                vec![Some(dx)]
+                vec![Some(Tensor::from_vec(dx, &[n, c, h, w]))]
             }),
         )
     }
@@ -951,6 +960,27 @@ mod tests {
         assert_eq!(gx.at(&[0, 0, 0, 0]), 0.0);
         let _ = store.ids();
         store.zero_grads();
+    }
+
+    #[test]
+    fn max_pool_gradient_stays_in_its_window() {
+        // No value of sample 1's window beats the -inf start (all -inf, or
+        // all NaN), so its gradient goes to the window's first element, not
+        // to sample 0's first pixel.
+        for fill in [f64::NEG_INFINITY, f64::NAN] {
+            let store = ParamStore::new();
+            let graph = Graph::new();
+            let ctx = ForwardCtx::new(&graph, &store, true, 0);
+            let data = vec![1.0, 2.0, 3.0, 4.0, fill, fill, fill, fill];
+            let x = graph.leaf(Tensor::from_vec(data, &[2, 1, 2, 2]));
+            let y = MaxPool2d::new(2).forward(&ctx, x);
+            let grads = graph.backward(y.sum());
+            assert_eq!(
+                grads.grad(x).unwrap().as_slice(),
+                &[0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0],
+                "window filled with {fill}"
+            );
+        }
     }
 
     #[test]

@@ -76,18 +76,15 @@ impl Adam {
                 .state
                 .entry(id)
                 .or_insert_with(|| (Tensor::zeros(g.shape()), Tensor::zeros(g.shape())));
-            for i in 0..g.len() {
-                let gi = g.as_slice()[i];
-                m.as_mut_slice()[i] = self.beta1 * m.as_slice()[i] + (1.0 - self.beta1) * gi;
-                v.as_mut_slice()[i] = self.beta2 * v.as_slice()[i] + (1.0 - self.beta2) * gi * gi;
+            let (ms, vs) = (m.as_mut_slice(), v.as_mut_slice());
+            let mut delta = Vec::with_capacity(g.len());
+            for ((mi, vi), &gi) in ms.iter_mut().zip(vs.iter_mut()).zip(g.as_slice()) {
+                *mi = self.beta1 * *mi + (1.0 - self.beta1) * gi;
+                *vi = self.beta2 * *vi + (1.0 - self.beta2) * gi * gi;
+                let (mhat, vhat) = (*mi / bc1, *vi / bc2);
+                delta.push(-self.lr * mhat / (vhat.sqrt() + self.eps));
             }
-            let mut delta = Tensor::zeros(g.shape());
-            for i in 0..g.len() {
-                let mhat = m.as_slice()[i] / bc1;
-                let vhat = v.as_slice()[i] / bc2;
-                delta.as_mut_slice()[i] = -self.lr * mhat / (vhat.sqrt() + self.eps);
-            }
-            store.apply_delta(id, &delta);
+            store.apply_delta(id, &Tensor::from_vec(delta, g.shape()));
         }
     }
 }
@@ -126,8 +123,8 @@ impl Sgd {
                 .velocity
                 .entry(id)
                 .or_insert_with(|| Tensor::zeros(g.shape()));
-            for i in 0..g.len() {
-                v.as_mut_slice()[i] = self.momentum * v.as_slice()[i] + g.as_slice()[i];
+            for (vi, &gi) in v.as_mut_slice().iter_mut().zip(g.as_slice()) {
+                *vi = self.momentum * *vi + gi;
             }
             let delta = v.scale(-self.lr);
             store.apply_delta(id, &delta);

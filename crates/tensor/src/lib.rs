@@ -53,7 +53,12 @@
 //!   and the robustness sweep's cells; no kernel in this crate spawns
 //!   onto it.
 //!
-//! Elementwise maps and axis reductions round out the API.
+//! Elementwise maps and axis reductions round out the API. Broadcasting
+//! ([`Tensor::zip_broadcast`]) and its adjoint ([`Tensor::sum_to`], which
+//! sums a gradient back to a broadcast operand's shape) share one
+//! odometer walk that carries each operand's offset per dimension, so no
+//! element pays a division; the reduction adds each slot's terms in
+//! ascending flat order.
 //!
 //! # Examples
 //!

@@ -22,6 +22,10 @@ impl Tensor {
 
     /// Combines two tensors elementwise with NumPy-style broadcasting.
     ///
+    /// Equal shapes zip the two slices. Otherwise one odometer walk over
+    /// the output carries both operands' offsets, so no element pays a
+    /// division. [`Tensor::sum_to`] is the adjoint and shares the walk.
+    ///
     /// # Panics
     ///
     /// Panics if the shapes are not broadcast-compatible.
@@ -42,32 +46,48 @@ impl Tensor {
                 other.shape_obj()
             )
         });
-        let out_shape = Shape::new(&out_dims);
-        let mut out = Tensor::zeros(&out_dims);
         let rank = out_dims.len();
-        let strides = out_shape.strides();
-        let a_dims = pad_dims(self.shape(), rank);
-        let b_dims = pad_dims(other.shape(), rank);
-        let a_strides = padded_strides(self.shape(), rank);
-        let b_strides = padded_strides(other.shape(), rank);
-        let lhs = self.as_slice();
-        let rhs = other.as_slice();
-        let dst = out.as_mut_slice();
-        for (flat, slot) in dst.iter_mut().enumerate() {
-            let mut a_off = 0;
-            let mut b_off = 0;
-            for d in 0..rank {
-                let i = (flat / strides[d]) % out_dims[d];
-                if a_dims[d] != 1 {
-                    a_off += i * a_strides[d];
-                }
-                if b_dims[d] != 1 {
-                    b_off += i * b_strides[d];
-                }
-            }
-            *slot = f(lhs[a_off], rhs[b_off]);
+        let (lhs, rhs) = (self.as_slice(), other.as_slice());
+        let mut data = Vec::with_capacity(Shape::new(&out_dims).len());
+        broadcast_walk(
+            &out_dims,
+            &broadcast_steps(self.shape(), rank),
+            &broadcast_steps(other.shape(), rank),
+            |a, b| data.push(f(lhs[a], rhs[b])),
+        );
+        Tensor::from_parts(data, Shape::from(out_dims))
+    }
+
+    /// Sums `self` down to `shape`: the adjoint of broadcasting a
+    /// `shape`-shaped tensor up to `self.shape()`.
+    ///
+    /// One walk over `self` in flat order adds each element into its
+    /// target slot, so every output element sums its terms in ascending
+    /// flat order, starting from `0.0`. Equal shapes return a clone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shape` does not broadcast to `self.shape()`.
+    pub fn sum_to(&self, shape: &[usize]) -> Tensor {
+        if self.shape() == shape {
+            return self.clone();
         }
-        out
+        assert!(
+            broadcast_shapes(shape, self.shape()).as_deref() == Some(self.shape()),
+            "cannot sum {} to {}",
+            self.shape_obj(),
+            Shape::new(shape)
+        );
+        let rank = self.rank();
+        let src = self.as_slice();
+        let mut out = vec![0.0; Shape::new(shape).len()];
+        broadcast_walk(
+            self.shape(),
+            &broadcast_steps(self.shape(), rank),
+            &broadcast_steps(shape, rank),
+            |s, d| out[d] += src[s],
+        );
+        Tensor::from_vec(out, shape)
     }
 
     /// Sum of all elements.
@@ -238,15 +258,76 @@ impl Tensor {
     }
 }
 
-fn pad_dims(dims: &[usize], rank: usize) -> Vec<usize> {
-    let mut out = vec![1usize; rank];
-    out[rank - dims.len()..].copy_from_slice(dims);
-    out
+/// The offset step of a `dims`-shaped operand along each of `rank`
+/// broadcast dimensions: its row-major stride, or 0 along a dimension it
+/// broadcasts (extent 1, or a missing leading dimension).
+fn broadcast_steps(dims: &[usize], rank: usize) -> Vec<usize> {
+    let mut steps = vec![0; rank];
+    let lead = rank - dims.len();
+    let mut stride = 1;
+    for (d, &n) in dims.iter().enumerate().rev() {
+        if n != 1 {
+            steps[lead + d] = stride;
+        }
+        stride *= n;
+    }
+    steps
 }
 
-fn padded_strides(dims: &[usize], rank: usize) -> Vec<usize> {
-    let padded = pad_dims(dims, rank);
-    Shape::new(&padded).strides()
+/// Calls `f(a, b)` once per element of a row-major walk over `dims`, in
+/// flat order, with the element's offsets into two operands that advance
+/// by `sa[d]` and `sb[d]` per step along dimension `d`.
+///
+/// The offsets are carried like an odometer, so no element pays a division
+/// or a remainder. Dimensions of extent 1 are dropped, and adjacent
+/// dimensions that both operands step through contiguously are merged, so
+/// the innermost loop runs as long as the layout allows. Neither changes
+/// the order in which elements are visited.
+fn broadcast_walk(dims: &[usize], sa: &[usize], sb: &[usize], mut f: impl FnMut(usize, usize)) {
+    if dims.contains(&0) {
+        return;
+    }
+    // (extent, step a, step b) per merged dimension, outermost first.
+    let mut merged: Vec<(usize, usize, usize)> = Vec::with_capacity(dims.len());
+    for ((&n, &a), &b) in dims.iter().zip(sa).zip(sb) {
+        if n == 1 {
+            continue;
+        }
+        match merged.last_mut() {
+            Some(last) if last.1 == a * n && last.2 == b * n => *last = (last.0 * n, a, b),
+            _ => merged.push((n, a, b)),
+        }
+    }
+    let Some(&(inner, ia, ib)) = merged.last() else {
+        f(0, 0);
+        return;
+    };
+    let outer = &merged[..merged.len() - 1];
+    let mut index = vec![0usize; outer.len()];
+    let (mut a, mut b) = (0, 0);
+    loop {
+        for j in 0..inner {
+            f(a + j * ia, b + j * ib);
+        }
+        // Advance the odometer over the outer dimensions.
+        let mut d = outer.len();
+        loop {
+            if d == 0 {
+                return;
+            }
+            d -= 1;
+            let (n, da, db) = outer[d];
+            index[d] += 1;
+            if index[d] < n {
+                a += da;
+                b += db;
+                break;
+            }
+            index[d] = 0;
+            a -= da * (n - 1);
+            b -= db * (n - 1);
+        }
+    }
 }
 
 macro_rules! impl_binop {
@@ -310,6 +391,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "cannot sum")]
+    fn sum_to_rejects_non_broadcast_shapes() {
+        let _ = t(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]).sum_to(&[2]);
+    }
+
+    #[test]
     #[should_panic(expected = "cannot broadcast")]
     fn broadcast_mismatch_panics() {
         let a = t(&[1.0, 2.0], &[2]);
@@ -327,6 +414,10 @@ mod tests {
         assert_eq!(m.argmax(), 5);
         assert_eq!(m.sum_axis(0).as_slice(), &[5.0, 7.0, 9.0]);
         assert_eq!(m.sum_axis(1).as_slice(), &[6.0, 15.0]);
+        assert_eq!(m.sum_to(&[3]).as_slice(), &[5.0, 7.0, 9.0]);
+        assert_eq!(m.sum_to(&[2, 1]).as_slice(), &[6.0, 15.0]);
+        assert_eq!(m.sum_to(&[]).as_slice(), &[21.0]);
+        assert!(m.sum_to(&[2, 3]).shares_storage(&m));
     }
 
     #[test]

@@ -235,6 +235,11 @@ impl<T: Element> TensorBase<T> {
 
     /// Mutable view of the backing storage (row-major). Copy-on-write:
     /// detaches from shared storage first.
+    ///
+    /// Each call checks exclusive ownership, which costs two
+    /// `Arc::get_mut` compare-exchanges. Take the slice once per loop and
+    /// index that, never `as_mut_slice()[i]` per element (CI greps for it
+    /// outside this file and unit tests).
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         self.make_exclusive();
         Arc::get_mut(&mut self.data).expect("storage exclusive after make_exclusive")
@@ -260,6 +265,10 @@ impl<T: Element> TensorBase<T> {
     }
 
     /// Mutable element at a multi-dimensional index (copy-on-write).
+    ///
+    /// Each call runs [`TensorBase::as_mut_slice`]'s ownership check and
+    /// recomputes the shape's strides, so it suits one-off writes; loops
+    /// should take the slice once and carry their own offsets.
     ///
     /// # Panics
     ///

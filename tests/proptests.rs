@@ -1,12 +1,13 @@
 //! Property-based tests (proptest) over the workspace's core invariants.
 
 use adept::spl;
+use adept_autodiff::Graph;
 use adept_linalg::{polar_orthogonal, svd, Permutation};
 use adept_nn::models::{proxy_cnn, Backend, InputShape};
 use adept_nn::{Checkpoint, ModelArch, ParamStore};
 use adept_photonics::codec::{fnv1a, LineError, FNV_OFFSET};
 use adept_photonics::{BlockMeshTopology, DeviceCount, DeviceSpec, FaultKind, FaultScenario, Pdk};
-use adept_tensor::{broadcast_shapes, Tensor};
+use adept_tensor::{broadcast_shapes, Shape, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -276,5 +277,124 @@ proptest! {
             format!("{body}end {:016x}\n", fnv1a(FNV_OFFSET, body.as_bytes()))
         };
         assert_rejects_cleanly(&hostile, Checkpoint::parse);
+    }
+}
+
+/// A random broadcast-compatible shape pair: an output shape of rank 0–4
+/// with dims 0–4, and two operands that each drop some leading dims and
+/// set some of the rest to 1.
+fn broadcast_pair(rng: &mut StdRng) -> (Vec<usize>, Vec<usize>) {
+    let rank = rng.gen_range(0..5usize);
+    let out: Vec<usize> = (0..rank).map(|_| rng.gen_range(0..5usize)).collect();
+    let operand = |rng: &mut StdRng| -> Vec<usize> {
+        let lead = rng.gen_range(0..=rank);
+        out[lead..]
+            .iter()
+            .map(|&d| if rng.gen_bool(0.3) { 1 } else { d })
+            .collect()
+    };
+    (operand(rng), operand(rng))
+}
+
+/// Values with signed zeros, NaN and infinities mixed into finite noise.
+fn special_values(rng: &mut StdRng, shape: &[usize]) -> Tensor {
+    let pool = [
+        0.0,
+        -0.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1e16,
+        -1.0,
+    ];
+    let len: usize = shape.iter().product();
+    let data = (0..len)
+        .map(|_| {
+            if rng.gen_bool(0.2) {
+                pool[rng.gen_range(0..pool.len())]
+            } else {
+                rng.gen_range(-2.0..2.0)
+            }
+        })
+        .collect();
+    Tensor::from_vec(data, shape)
+}
+
+/// Flat offset into a `dims`-shaped operand of output element `flat` of a
+/// broadcast to `out`, by division and remainder per dimension.
+fn reference_offset(flat: usize, out: &[usize], dims: &[usize]) -> usize {
+    let rank = out.len();
+    let mut padded = vec![1; rank];
+    padded[rank - dims.len()..].copy_from_slice(dims);
+    let (out_strides, strides) = (Shape::new(out).strides(), Shape::new(&padded).strides());
+    (0..rank)
+        .filter(|&d| padded[d] != 1)
+        .map(|d| flat / out_strides[d] % out[d] * strides[d])
+        .sum()
+}
+
+fn reference_zip(a: &Tensor, b: &Tensor, f: fn(f64, f64) -> f64) -> Tensor {
+    let out = broadcast_shapes(a.shape(), b.shape()).unwrap();
+    let data = (0..Shape::new(&out).len())
+        .map(|flat| {
+            let x = a.as_slice()[reference_offset(flat, &out, a.shape())];
+            f(x, b.as_slice()[reference_offset(flat, &out, b.shape())])
+        })
+        .collect();
+    Tensor::from_vec(data, &out)
+}
+
+/// Sums `g` down to `target`, each slot in ascending flat order from 0.0.
+/// An equal shape passes `g` through untouched (a -0.0 stays -0.0).
+fn reference_sum_to(g: &Tensor, target: &[usize]) -> Tensor {
+    if g.shape() == target {
+        return g.clone();
+    }
+    let mut out = vec![0.0; Shape::new(target).len()];
+    for (flat, &x) in g.as_slice().iter().enumerate() {
+        out[reference_offset(flat, g.shape(), target)] += x;
+    }
+    Tensor::from_vec(out, target)
+}
+
+/// Bit equality, with every NaN equal to every other.
+fn same_bits(got: &Tensor, want: &Tensor) -> bool {
+    got.shape() == want.shape()
+        && got
+            .as_slice()
+            .iter()
+            .zip(want.as_slice())
+            .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `zip_broadcast` and the gradient `Var::add`/`Var::mul` hand a
+    /// broadcast operand (`Tensor::sum_to`) match division-based offsets
+    /// and flat-order sums bit for bit.
+    #[test]
+    fn broadcast_walk_matches_division_reference(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (sa, sb) = broadcast_pair(&mut rng);
+        let (a, b) = (special_values(&mut rng, &sa), special_values(&mut rng, &sb));
+        let out = broadcast_shapes(&sa, &sb).unwrap();
+        let upstream = special_values(&mut rng, &out);
+        for is_mul in [false, true] {
+            let f: fn(f64, f64) -> f64 = if is_mul { |x, y| x * y } else { |x, y| x + y };
+            let zipped = a.zip_broadcast(&b, f);
+            prop_assert!(same_bits(&zipped, &reference_zip(&a, &b, f)), "{:?} with {:?}", sa, sb);
+            let graph = Graph::new();
+            let (va, vb) = (graph.leaf(a.clone()), graph.leaf(b.clone()));
+            let y = if is_mul { va.mul(vb) } else { va.add(vb) };
+            let grads = graph.backward(y.mul(graph.constant(upstream.clone())).sum());
+            let (ga, gb) = if is_mul {
+                (reference_zip(&upstream, &b, f), reference_zip(&upstream, &a, f))
+            } else {
+                (upstream.clone(), upstream.clone())
+            };
+            prop_assert!(same_bits(grads.grad(va).unwrap(), &reference_sum_to(&ga, &sa)));
+            prop_assert!(same_bits(grads.grad(vb).unwrap(), &reference_sum_to(&gb, &sb)));
+        }
     }
 }
