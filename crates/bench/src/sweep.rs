@@ -8,10 +8,11 @@
 //! sharing one fault seed so damage nests monotonically as `p` grows) and
 //! the frozen phase-noise draw are baked into the plan's weights through
 //! the same batched `[T, B, K]` mesh build the tape uses. Plans compile
-//! sequentially, then **all cells evaluate concurrently** on
-//! the shared [`adept_tensor::pool`] — each cell owns its plan, so the
-//! grid is embarrassingly parallel and, because every number is seeded,
-//! bit-stable across `ONN_THREADS`.
+//! sequentially, then **the cells evaluate concurrently** on
+//! [`adept_tensor::gemm_thread_count`] scoped threads, each taking the next
+//! cell from one shared iterator — each cell owns its plan and writes only
+//! its own slot, so the grid is embarrassingly parallel and, because every
+//! number is seeded, bit-stable across `ONN_THREADS`.
 //!
 //! The sweep ends with the recovery experiment open item 4 asks for:
 //! accuracy clean → damaged (p = `recovery_p` dead shifters) → damaged
@@ -25,9 +26,9 @@ use adept_nn::layers::Layer;
 use adept_nn::models::Backend;
 use adept_nn::train::evaluate_faulted;
 use adept_photonics::{DeviceCount, FaultKind, FaultScenario, Pdk};
+use adept_telemetry::sync::lock_recover;
 use adept_telemetry::LocalHistogram;
-use adept_tensor::pool;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Grid shape + training budget of one sweep run.
@@ -203,8 +204,8 @@ fn quantile_us(lat: &LocalHistogram, p: f64) -> f64 {
 }
 
 /// Runs the sweep: trains one clean baseline per topology, compiles one
-/// fault-aware plan per grid cell, evaluates all cells concurrently on
-/// the shared pool, and finishes with the p = `recovery_p` fault-aware
+/// fault-aware plan per grid cell, evaluates the cells concurrently on
+/// scoped threads, and finishes with the p = `recovery_p` fault-aware
 /// retraining experiment on the first topology.
 pub fn run_sweep(topologies: &[(String, Backend)], settings: &SweepSettings) -> SweepOutcome {
     assert!(!topologies.is_empty(), "sweep needs at least one topology");
@@ -213,7 +214,7 @@ pub fn run_sweep(topologies: &[(String, Backend)], settings: &SweepSettings) -> 
     let pdk = Pdk::amf();
 
     // Phase 1 (sequential): per-topology clean training + per-cell plan
-    // compilation. The mesh builds inside already fan out on the pool.
+    // compilation.
     let mut reports = Vec::new();
     let mut bundles = Vec::new();
     let mut cells: Vec<SweepCell> = Vec::new();
@@ -258,12 +259,17 @@ pub fn run_sweep(topologies: &[(String, Backend)], settings: &SweepSettings) -> 
     }
 
     // Phase 2 (concurrent): every cell owns its plan, so the whole grid
-    // evaluates in parallel on the shared pool. Results are seeded and
+    // evaluates in parallel. At most `ONN_THREADS` cells run at once, each
+    // thread taking the next (cell, plan) pair. Results are seeded and
     // land in disjoint slots — bit-stable at any thread count.
     let test = &bundles[0].test;
-    pool::scope(|scope| {
-        for (cell, plan) in cells.iter_mut().zip(plans.iter_mut()) {
-            scope.spawn(move || {
+    let threads = adept_tensor::gemm_thread_count().min(cells.len());
+    let pending = Mutex::new(cells.iter_mut().zip(plans.iter_mut()));
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                let next = lock_recover(&pending).next();
+                let Some((cell, plan)) = next else { break };
                 let (acc, lat) = plan_accuracy(plan, test);
                 cell.accuracy_pct = acc;
                 cell.p50_batch_us = quantile_us(&lat, 50.0);

@@ -33,8 +33,8 @@
 //! * [`serve()`] — the **serving runtime**: a request queue that coalesces
 //!   single-sample requests into mini-batches (a free worker takes
 //!   everything queued, up to a size cap, without waiting for it to fill),
-//!   shards batches across the shared `adept_tensor::pool` workers (each
-//!   with a private plan clone), and reports req/s with p50/p99 latency
+//!   runs batches on the session's own scoped worker threads (each with a
+//!   private plan clone), and reports req/s with p50/p99 latency
 //!   ([`ServeReport`]). Batch size and worker count follow
 //!   `ONN_SERVE_BATCH` / `ONN_SERVE_THREADS` (validated like
 //!   `ONN_THREADS`: junk panics, `0`/empty/unset = auto). The runtime is

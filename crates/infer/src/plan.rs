@@ -26,8 +26,8 @@
 //! compiling with seed `s` freezes the same noisy weights
 //! `evaluate_seeded(…, s)` would draw.
 //!
-//! Every step runs on the calling thread: no conv and no GEMM spawns a
-//! pool job, at any batch or layer size.
+//! Every step runs on the calling thread: no conv and no GEMM starts a
+//! thread, at any batch or layer size.
 //!
 //! # Plan precision and the "training stays f64" invariant
 //!
@@ -52,6 +52,7 @@ use adept_photonics::codec::{fnv1a, FNV_OFFSET};
 use adept_photonics::FaultScenario;
 use adept_telemetry::Counter;
 use adept_tensor::{matmul_into, DirectConv, Element, TensorBase};
+use std::env::VarError;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -137,16 +138,24 @@ impl PlanPrecision {
 
     /// Reads `ONN_INFER_DTYPE` once (cached): the serving/demo-facing
     /// precision knob, validated like `ONN_THREADS`. Unset, empty or `0`
-    /// risk nothing — only `f32`/`f64` are accepted and junk panics at
-    /// first use.
+    /// risk nothing — only `f32`/`f64` are accepted and junk, a non-UTF-8
+    /// value included, panics at first use.
     pub fn from_env() -> PlanPrecision {
         static CACHE: OnceLock<PlanPrecision> = OnceLock::new();
-        *CACHE.get_or_init(|| {
-            std::env::var("ONN_INFER_DTYPE")
-                .ok()
-                .and_then(|v| PlanPrecision::parse("ONN_INFER_DTYPE", &v))
-                .unwrap_or_default()
-        })
+        *CACHE.get_or_init(|| Self::from_var("ONN_INFER_DTYPE", std::env::var("ONN_INFER_DTYPE")))
+    }
+
+    /// One [`std::env::var`] read through [`PlanPrecision::parse`]: unset
+    /// means the default, and a value that is not UTF-8 panics naming the
+    /// variable instead of reading as unset.
+    fn from_var(name: &str, read: Result<String, VarError>) -> PlanPrecision {
+        match read {
+            Ok(raw) => Self::parse(name, &raw).unwrap_or_default(),
+            Err(VarError::NotPresent) => PlanPrecision::default(),
+            Err(VarError::NotUnicode(raw)) => {
+                panic!("invalid {name}={raw:?}: expected \"f32\" or \"f64\", not non-UTF-8 bytes")
+            }
+        }
     }
 
     /// The dtype's canonical name (`"f64"` / `"f32"`).
@@ -805,10 +814,16 @@ fn run_producing<T: Element>(step: &mut Step<T>, src: &[T], dst: &mut [T], n: us
                     let dst_off = (ni * c + ci) * oh * ow;
                     for oy in 0..oh {
                         for ox in 0..ow {
+                            // A window holding a NaN outputs NaN, like the
+                            // tape's `MaxPool2d`.
                             let mut best = T::NEG_INFINITY;
-                            for dy in 0..k {
+                            'window: for dy in 0..k {
                                 for dx in 0..k {
                                     let v = src[src_off + (oy * k + dy) * w + ox * k + dx];
+                                    if v.is_nan() {
+                                        best = v;
+                                        break 'window;
+                                    }
                                     if v > best {
                                         best = v;
                                     }
@@ -850,6 +865,38 @@ mod tests {
     #[should_panic(expected = "invalid ONN_INFER_DTYPE=\"double\"")]
     fn precision_parse_rejects_junk_naming_the_variable() {
         let _ = PlanPrecision::parse("ONN_INFER_DTYPE", "double");
+    }
+
+    /// A non-UTF-8 `ONN_INFER_DTYPE` panics naming the variable instead of
+    /// reading as unset (`F64`).
+    #[cfg(unix)]
+    #[test]
+    #[should_panic(expected = "invalid ONN_INFER_DTYPE=")]
+    fn precision_env_rejects_non_utf8_naming_the_variable() {
+        use std::ffi::OsString;
+        use std::os::unix::ffi::OsStringExt;
+        let read = Err(VarError::NotUnicode(OsString::from_vec(vec![0xff])));
+        let _ = PlanPrecision::from_var("ONN_INFER_DTYPE", read);
+    }
+
+    /// A max-pool window holding a NaN outputs NaN at both precisions, as
+    /// the tape does, instead of the -inf the window scan starts from.
+    #[test]
+    fn max_pool_propagates_nan() {
+        let pool = adept_nn::layers::MaxPool2d::new(2);
+        let nan = f64::NAN;
+        let input = [1.0, 2.0, 3.0, 4.0, nan, nan, nan, nan, 5.0, nan, 7.0, nan];
+        for precision in [PlanPrecision::F64, PlanPrecision::F32] {
+            let mut plan =
+                ExecPlan::compile(&pool, &ParamStore::new(), &[1, 2, 2], 3, 0, precision).unwrap();
+            let mut out = [0.0; 3];
+            plan.run_batch(&input, 3, &mut out);
+            assert_eq!(out[0], 4.0, "{precision:?}");
+            assert!(
+                out[1].is_nan() && out[2].is_nan(),
+                "{precision:?} pooled {out:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,17 +1,19 @@
 //! Batching serving runtime over a compiled [`ExecPlan`] — hardened for
 //! faulty inputs and overload.
 //!
-//! Single-sample requests land in a **bounded** queue. Batch formation is
-//! work-conserving: a free worker takes everything queued, up to the
-//! batch cap, and runs it at once through a private [`BatchRunner`] on the
-//! shared [`adept_tensor::pool`] worker set. It does not wait for a batch
-//! to fill, because a compiled plan's per-sample cost is flat in batch
-//! size, so a fill wait adds latency and buys no throughput. Requests that
-//! arrive while a worker runs queue up and form the next batch. Because
-//! compiled per-sample outputs are independent of batch composition (see
-//! [`ExecPlan::run_batch`]), coalescing is invisible in the results —
-//! only in the latency histogram, which [`ServeReport`] summarizes as
-//! req/s plus p50/p99 over the *served* requests.
+//! Single-sample requests land in a **bounded** queue. Each session starts
+//! its own worker threads on [`std::thread::scope`], one per configured
+//! worker, and the calling thread produces the requests. Batch formation
+//! is work-conserving: a free worker takes everything queued, up to the
+//! batch cap, and runs it at once through a private [`BatchRunner`]. It
+//! does not wait for a batch to fill, because a compiled plan's
+//! per-sample cost is flat in batch size, so a fill wait adds latency and
+//! buys no throughput. Requests that arrive while a worker runs queue up
+//! and form the next batch. Because compiled per-sample outputs are
+//! independent of batch composition (see [`ExecPlan::run_batch`]),
+//! coalescing is invisible in the results — only in the latency
+//! histogram, which [`ServeReport`] summarizes as req/s plus p50/p99 over
+//! the *served* requests.
 //!
 //! # Failure semantics
 //!
@@ -90,8 +92,8 @@ pub struct ServeConfig {
     /// Mini-batch size cap; `0` = auto (`ONN_SERVE_BATCH`, else 8, capped
     /// at the plan's `max_batch`).
     pub max_batch: usize,
-    /// Worker count; `0` = auto (`ONN_SERVE_THREADS`, else the pool's auto
-    /// thread count).
+    /// The number of worker threads the session starts; `0` = auto
+    /// (`ONN_SERVE_THREADS`, else [`adept_tensor::gemm_thread_count`]).
     pub threads: usize,
     /// How long a worker may hold a partial batch open for more arrivals:
     /// one deadline, counted from when it takes the batch's first request
@@ -316,8 +318,8 @@ struct Samples {
 }
 
 /// Outcome-slot encoding (request outcomes land in a shared `AtomicU8`
-/// array; relaxed ordering suffices — the pool scope's join is the
-/// happens-before edge the final read relies on).
+/// array; relaxed ordering suffices — joining the scoped worker threads is
+/// the happens-before edge the final read relies on).
 const PENDING: u8 = 0;
 const SERVED: u8 = 1;
 const SHED: u8 = 2;
@@ -329,8 +331,9 @@ const FAILED: u8 = 4;
 /// mini-batches across worker threads. Returns all outputs (request
 /// order; shed/timed-out/failed slices stay zeroed) and the report.
 ///
-/// Workers run on [`pool::scope`] with a private clone of the plan each;
-/// the caller's thread is the producer, pacing arrivals by
+/// The session starts exactly [`ServeReport::threads`] worker threads on
+/// [`std::thread::scope`], each with a private clone of the plan; the
+/// caller's thread is the producer, pacing arrivals by
 /// `cfg.arrival_spacing`. Outputs are bit-identical to running each
 /// request alone through the plan, whatever batches form. See the module
 /// docs for the shed/deadline/panic/drain semantics.
@@ -356,7 +359,9 @@ pub fn serve(
 /// # Panics
 ///
 /// Panics if `inputs` does not hold `n_requests` samples of the runner's
-/// `input_elems`, or if the runner reports zero output features.
+/// `input_elems`, or if the runner reports zero output features. A worker
+/// that panics outside a batch (in `make_runner`, say) makes the session
+/// panic once every worker has joined.
 pub fn serve_with(
     make_runner: &(dyn Fn() -> Box<dyn BatchRunner> + Sync),
     inputs: &[f64],
@@ -392,7 +397,7 @@ pub fn serve_with(
     let out_chunks = outputs.chunks_mut(out_f);
     let started = Instant::now();
 
-    pool::scope(|scope| {
+    std::thread::scope(|scope| {
         for samples in samples.iter_mut() {
             let queue = &queue;
             let outcomes = outcomes.as_slice();

@@ -762,14 +762,21 @@ impl Layer for MaxPool2d {
         for i in 0..n * c {
             for oy in 0..oh {
                 for ox in 0..ow {
-                    // A window of -inf or NaN values never beats `best`;
-                    // its gradient then goes to the window's first element,
-                    // never outside the window.
+                    // A window holding a NaN outputs NaN, with its gradient
+                    // on the first NaN in (dy, dx) order. A window of -inf
+                    // values never beats `best`, so its gradient goes to the
+                    // window's first element. Either way it stays inside
+                    // the window.
                     let first = i * hw + oy * k * w + ox * k;
                     let mut best = f64::NEG_INFINITY;
                     let mut best_off = first;
-                    for dy in 0..k {
+                    'window: for dy in 0..k {
                         for off in first + dy * w..first + dy * w + k {
+                            if src[off].is_nan() {
+                                best = src[off];
+                                best_off = off;
+                                break 'window;
+                            }
                             if src[off] > best {
                                 best = src[off];
                                 best_off = off;
@@ -964,21 +971,32 @@ mod tests {
 
     #[test]
     fn max_pool_gradient_stays_in_its_window() {
-        // No value of sample 1's window beats the -inf start (all -inf, or
-        // all NaN), so its gradient goes to the window's first element, not
-        // to sample 0's first pixel.
-        for fill in [f64::NEG_INFINITY, f64::NAN] {
+        // Sample 1's window: all -inf never beats the -inf start, so it
+        // pools to -inf with its gradient on the window's first element; a
+        // window holding a NaN pools to NaN with its gradient on its first
+        // NaN. Neither gradient lands on sample 0's first pixel.
+        let (inf, nan) = (f64::NEG_INFINITY, f64::NAN);
+        for (window, pooled, grad) in [
+            ([inf; 4], inf, [1.0, 0.0, 0.0, 0.0]),
+            ([nan; 4], nan, [1.0, 0.0, 0.0, 0.0]),
+            ([5.0, nan, 7.0, nan], nan, [0.0, 1.0, 0.0, 0.0]),
+        ] {
             let store = ParamStore::new();
             let graph = Graph::new();
             let ctx = ForwardCtx::new(&graph, &store, true, 0);
-            let data = vec![1.0, 2.0, 3.0, 4.0, fill, fill, fill, fill];
+            let data = [1.0, 2.0, 3.0, 4.0].into_iter().chain(window).collect();
             let x = graph.leaf(Tensor::from_vec(data, &[2, 1, 2, 2]));
             let y = MaxPool2d::new(2).forward(&ctx, x);
+            let got = y.value().as_slice().to_vec();
+            assert_eq!(got[0], 4.0);
+            assert_eq!(got[1].to_bits(), pooled.to_bits(), "window {window:?}");
             let grads = graph.backward(y.sum());
+            let mut want = vec![0.0, 0.0, 0.0, 1.0];
+            want.extend(grad);
             assert_eq!(
                 grads.grad(x).unwrap().as_slice(),
-                &[0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0],
-                "window filled with {fill}"
+                want.as_slice(),
+                "window {window:?}"
             );
         }
     }

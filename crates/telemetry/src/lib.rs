@@ -13,7 +13,7 @@
 //!   (`span!("train_step").child("prebuild")` records under
 //!   `train_step/prebuild`). Paths are **explicit** — derived from the
 //!   handle, never from an ambient thread-local stack — so a span
-//!   recorded on a pool worker gets the same path as the same span
+//!   recorded on a worker thread gets the same path as the same span
 //!   recorded inline on the caller's thread. Finished spans land in a
 //!   per-thread ring buffer of 256 entries and are flushed to the
 //!   process-wide registry when the ring fills or a snapshot is taken.
@@ -42,8 +42,8 @@
 //!   plan batches, requests served). Only these appear in
 //!   [`TelemetrySnapshot::render_deterministic`].
 //! - `Volatile` instruments count *scheduling* events that legitimately
-//!   differ with thread count (pool jobs spawned, worker vs. helper task
-//!   runs, serve batches formed). They render only in the timing section.
+//!   differ with thread count (serve batches formed). They render only in
+//!   the timing section.
 //!
 //! Durations are always machine-dependent and never appear in the
 //! deterministic render.
@@ -51,10 +51,11 @@
 //! # `ONN_TELEMETRY` grammar
 //!
 //! Same validated parse family as `ONN_THREADS`: unset, empty, or `0`
-//! disables telemetry; any positive integer enables it; anything else
-//! panics naming the variable. The flag is read once and cached.
-//! [`set_enabled`] overrides it programmatically (tests and benches,
-//! which cannot re-read the environment mid-process).
+//! disables telemetry; any positive integer enables it; anything else,
+//! including a value that is not UTF-8, panics naming the variable. The
+//! flag is read once and cached. [`set_enabled`] overrides it
+//! programmatically (tests and benches, which cannot re-read the
+//! environment mid-process).
 //!
 //! # Cost when disabled
 //!
@@ -70,11 +71,12 @@ mod snapshot;
 mod span;
 pub mod sync;
 
-pub use metrics::{Counter, Histogram, LocalHistogram, Unit};
+pub use metrics::{Counter, Histogram, LocalHistogram};
 pub use registry::{reset, Stability};
 pub use snapshot::{snapshot, CounterStat, HistogramStat, SpanStat, TelemetrySnapshot};
 pub use span::{span, span_volatile, SpanGuard};
 
+use std::env::VarError;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// 0 = uninitialised, 1 = off, 2 = on.
@@ -93,8 +95,7 @@ pub fn enabled() -> bool {
 
 #[cold]
 fn init_enabled() -> bool {
-    let raw = std::env::var("ONN_TELEMETRY").ok();
-    let on = parse_flag("ONN_TELEMETRY", raw.as_deref());
+    let on = parse_flag("ONN_TELEMETRY", std::env::var("ONN_TELEMETRY"));
     ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
     on
 }
@@ -107,10 +108,17 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
 }
 
-/// Strict flag parse, same family as `ONN_THREADS`: unset/empty/`0` =
-/// off, any positive integer = on, anything else panics naming `name`.
-fn parse_flag(name: &str, raw: Option<&str>) -> bool {
-    let Some(raw) = raw else { return false };
+/// Strict flag parse of one [`std::env::var`] read, same family as
+/// `ONN_THREADS`: unset/empty/`0` = off, any positive integer = on,
+/// anything else (a non-UTF-8 value included) panics naming `name`.
+fn parse_flag(name: &str, read: Result<String, VarError>) -> bool {
+    let raw = match read {
+        Ok(raw) => raw,
+        Err(VarError::NotPresent) => return false,
+        Err(VarError::NotUnicode(raw)) => {
+            panic!("invalid {name}={raw:?}: expected a non-negative integer, not non-UTF-8 bytes")
+        }
+    };
     let raw = raw.trim();
     if raw.is_empty() {
         return false;
@@ -127,19 +135,34 @@ fn parse_flag(name: &str, raw: Option<&str>) -> bool {
 mod tests {
     use super::*;
 
+    fn set(raw: &str) -> Result<String, VarError> {
+        Ok(raw.to_string())
+    }
+
     #[test]
     fn flag_grammar_matches_onn_threads_family() {
-        assert!(!parse_flag("T", None));
-        assert!(!parse_flag("T", Some("")));
-        assert!(!parse_flag("T", Some("  ")));
-        assert!(!parse_flag("T", Some("0")));
-        assert!(parse_flag("T", Some("1")));
-        assert!(parse_flag("T", Some(" 8 ")));
+        assert!(!parse_flag("T", Err(VarError::NotPresent)));
+        assert!(!parse_flag("T", set("")));
+        assert!(!parse_flag("T", set("  ")));
+        assert!(!parse_flag("T", set("0")));
+        assert!(parse_flag("T", set("1")));
+        assert!(parse_flag("T", set(" 8 ")));
     }
 
     #[test]
     #[should_panic(expected = "invalid ONN_TELEMETRY=\"yes\"")]
     fn flag_junk_panics_naming_the_variable() {
-        parse_flag("ONN_TELEMETRY", Some("yes"));
+        parse_flag("ONN_TELEMETRY", set("yes"));
+    }
+
+    /// A value that is not UTF-8 is junk too, not "unset".
+    #[cfg(unix)]
+    #[test]
+    #[should_panic(expected = "invalid ONN_TELEMETRY=")]
+    fn flag_non_utf8_panics_naming_the_variable() {
+        use std::ffi::OsString;
+        use std::os::unix::ffi::OsStringExt;
+        let read = Err(VarError::NotUnicode(OsString::from_vec(vec![0xff])));
+        parse_flag("ONN_TELEMETRY", read);
     }
 }

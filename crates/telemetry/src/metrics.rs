@@ -11,15 +11,6 @@ use std::time::Duration;
 /// The last bucket absorbs everything ≥ 2^46 ns ≈ 19.5 hours.
 pub(crate) const BUCKETS: usize = 48;
 
-/// What a histogram's values measure — controls rendering only.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Unit {
-    /// Nanoseconds; rendered as human durations.
-    Nanos,
-    /// Dimensionless counts (e.g. queue depth); rendered raw.
-    Count,
-}
-
 /// Bucket index for a recorded value.
 #[inline]
 pub(crate) fn bucket_index(v: u64) -> usize {
@@ -110,7 +101,6 @@ impl Counter {
 
 pub(crate) struct HistCell {
     pub name: &'static str,
-    pub unit: Unit,
     pub buckets: [AtomicU64; BUCKETS],
     pub count: AtomicU64,
     pub sum: AtomicU64,
@@ -122,7 +112,6 @@ pub(crate) struct HistCell {
 /// bucket counts at snapshot time.
 pub struct Histogram {
     name: &'static str,
-    unit: Unit,
     cell: OnceLock<&'static HistCell>,
 }
 
@@ -131,22 +120,12 @@ impl Histogram {
     pub const fn nanos(name: &'static str) -> Self {
         Histogram {
             name,
-            unit: Unit::Nanos,
-            cell: OnceLock::new(),
-        }
-    }
-
-    /// A dimensionless-count histogram (e.g. queue depth).
-    pub const fn counts(name: &'static str) -> Self {
-        Histogram {
-            name,
-            unit: Unit::Count,
             cell: OnceLock::new(),
         }
     }
 
     fn cell(&self) -> &'static HistCell {
-        self.cell.get_or_init(|| hist_cell(self.name, self.unit))
+        self.cell.get_or_init(|| hist_cell(self.name))
     }
 
     /// Record one value (no-op while disabled).

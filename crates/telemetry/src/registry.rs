@@ -6,7 +6,7 @@
 //! segment so `span("a/b")` and `span("a").child("b")` aggregate under
 //! the same path.
 
-use crate::metrics::{HistCell, Unit};
+use crate::metrics::HistCell;
 use crate::sync::lock_recover;
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
@@ -97,14 +97,13 @@ pub(crate) fn counter_cell(name: &'static str, stability: Stability) -> &'static
 }
 
 /// Intern (or find) the histogram cell for `name`.
-pub(crate) fn hist_cell(name: &'static str, unit: Unit) -> &'static HistCell {
+pub(crate) fn hist_cell(name: &'static str) -> &'static HistCell {
     let mut hists = lock_recover(&registry().hists);
     if let Some(h) = hists.iter().find(|h| h.name == name) {
         return h;
     }
     let cell: &'static HistCell = Box::leak(Box::new(HistCell {
         name,
-        unit,
         buckets: std::array::from_fn(|_| AtomicU64::new(0)),
         count: AtomicU64::new(0),
         sum: AtomicU64::new(0),

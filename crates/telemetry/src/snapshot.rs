@@ -2,7 +2,7 @@
 //! workspace consumes: a deterministic count section (CI-diffable) and
 //! a machine-dependent timing section.
 
-use crate::metrics::{bucket_quantile, Unit};
+use crate::metrics::bucket_quantile;
 use crate::registry::{collect, Stability};
 use std::fmt::Write as _;
 
@@ -26,7 +26,6 @@ pub struct SpanStat {
 /// One histogram's state at snapshot time.
 pub struct HistogramStat {
     pub name: String,
-    pub unit: Unit,
     pub count: u64,
     pub sum: u64,
     buckets: Vec<u64>,
@@ -86,7 +85,6 @@ pub fn snapshot() -> TelemetrySnapshot {
             use std::sync::atomic::Ordering::Relaxed;
             HistogramStat {
                 name: h.name.to_string(),
-                unit: h.unit,
                 count: h.count.load(Relaxed),
                 sum: h.sum.load(Relaxed),
                 buckets: h.buckets.iter().map(|b| b.load(Relaxed)).collect(),
@@ -167,28 +165,16 @@ impl TelemetrySnapshot {
             writeln!(out, "counter {} = {} [volatile]", c.name, c.value).unwrap();
         }
         for h in &self.histograms {
-            match h.unit {
-                Unit::Nanos => writeln!(
-                    out,
-                    "hist {} count={} p50={} p99={} mean={}",
-                    h.name,
-                    h.count,
-                    fmt_ns(h.quantile(50.0)),
-                    fmt_ns(h.quantile(99.0)),
-                    fmt_ns(h.sum.checked_div(h.count).unwrap_or(0)),
-                )
-                .unwrap(),
-                Unit::Count => writeln!(
-                    out,
-                    "hist {} count={} p50={} p99={} sum={}",
-                    h.name,
-                    h.count,
-                    h.quantile(50.0),
-                    h.quantile(99.0),
-                    h.sum,
-                )
-                .unwrap(),
-            }
+            writeln!(
+                out,
+                "hist {} count={} p50={} p99={} mean={}",
+                h.name,
+                h.count,
+                fmt_ns(h.quantile(50.0)),
+                fmt_ns(h.quantile(99.0)),
+                fmt_ns(h.sum.checked_div(h.count).unwrap_or(0)),
+            )
+            .unwrap();
         }
         out
     }

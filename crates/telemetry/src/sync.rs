@@ -1,7 +1,7 @@
 //! Poison-recovering lock helpers, shared workspace-wide.
 //!
 //! A panic while holding a `Mutex` poisons it; for the locks in this
-//! workspace (pool queues, tape-segment slots, serving queues, telemetry
+//! workspace (serving queues, the sweep's cell iterator, telemetry
 //! sinks) the protected state is either plain data that is valid at
 //! every suspension point or is re-validated by the caller, so the
 //! correct response to poison is to keep going with the inner guard

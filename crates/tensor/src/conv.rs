@@ -406,6 +406,7 @@ impl<T: Element> DirectConv<T> {
             // SAFETY: `lanes.is_available()` above confirmed avx512f with
             // `is_x86_feature_detected!`.
             #[cfg(target_arch = "x86_64")]
+            #[allow(unsafe_code)]
             ConvLanes::Avx512 => unsafe { conv_avx512(args) },
             #[cfg(not(target_arch = "x86_64"))]
             ConvLanes::Avx512 => unreachable!("avx512f lanes exist only on x86_64"),

@@ -60,9 +60,11 @@ pub trait Element:
     /// Widens (or passes through) to `f64`.
     fn to_f64(self) -> f64;
 
-    /// IEEE `max` (NaN-ignoring, like `f64::max`) — the ReLU / max-pool
-    /// primitive.
+    /// IEEE `max` (NaN-ignoring, like `f64::max`) — the ReLU primitive.
     fn maximum(self, other: Self) -> Self;
+
+    /// Whether the value is NaN (a max-pool window holding one outputs it).
+    fn is_nan(self) -> bool;
 
     /// Quantizes an `f64` tensor into this dtype. Zero-copy for `f64`
     /// itself (an `Arc` bump), one rounding pass for `f32` — this is the
@@ -108,6 +110,11 @@ macro_rules! impl_element {
             #[inline(always)]
             fn maximum(self, other: Self) -> Self {
                 self.max(other)
+            }
+
+            #[inline(always)]
+            fn is_nan(self) -> bool {
+                <$t>::is_nan(self)
             }
 
             fn cast_tensor(t: &TensorBase<f64>) -> TensorBase<Self> {

@@ -48,10 +48,10 @@
 //!   baseline, and [`ConvLanes::detect`] picks one at run time. Each output
 //!   keeps the GEMM's ascending-k chain, zero-skip on the weight and
 //!   mul-then-add, so both paths produce the same bits.
-//! * **One shared thread pool** — [`pool`] keeps persistent workers with
-//!   scoped, borrowing jobs. Its users are the serving runtime's workers
-//!   and the robustness sweep's cells; no kernel in this crate spawns
-//!   onto it.
+//! * **No threads of its own** — every kernel runs on its calling thread.
+//!   The serving runtime's workers and the robustness sweep's cells run on
+//!   [`std::thread::scope`], sized by [`gemm_thread_count`]; [`pool`]
+//!   keeps only the strict `ONN_*` count readers behind it.
 //!
 //! Elementwise maps and axis reductions round out the API. Broadcasting
 //! ([`Tensor::zip_broadcast`]) and its adjoint ([`Tensor::sum_to`], which

@@ -18,16 +18,16 @@
 //! slice. The training and serving shapes of this workspace are at most a
 //! few MFLOP, where neither a packed register-blocked kernel nor a thread
 //! partition paid for itself; parallelism lives one level up, in serve
-//! workers and sweep cells on [`crate::pool`].
+//! workers and robustness-sweep cells, which run on scoped threads.
 
 use crate::element::Element;
 use crate::tensor::Tensor;
 use crate::view::View;
 
-/// The auto thread count (`ONN_THREADS` if set, else the machine's
-/// parallelism capped at 8) that sizes the shared [`crate::pool`]. The
-/// serving runtime's default worker count and perfbench's environment
-/// record read it; no GEMM does.
+/// The auto thread count: `ONN_THREADS` if set, else the machine's
+/// parallelism capped at 8. It is the serving runtime's default worker
+/// count and the number of robustness-sweep cells that run at once;
+/// perfbench's environment record reads it too. No GEMM does.
 pub fn gemm_thread_count() -> usize {
     crate::pool::auto_threads()
 }

@@ -37,6 +37,10 @@ thread_local! {
     static LOCAL_BYTES: Cell<usize> = const { Cell::new(0) };
 }
 
+// SAFETY: both methods forward the caller's layout and pointer to `System`
+// unchanged, so `System` upholds the `GlobalAlloc` contract; the count is a
+// const-initialized thread-local `Cell`, which never allocates.
+#[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = LOCAL_BYTES.try_with(|b| b.set(b.get() + layout.size()));
@@ -211,8 +215,8 @@ fn warm_path_allocates_nothing() {
     // Two plans at batch 16: the served shape (quickstart proxy CNN, whose
     // convs and 16×72×10 linear GEMM are small) and one 512→512 linear
     // step, a 16×512×512 GEMM of 8.4 MFLOP. Every step runs on the calling
-    // thread at any size, so neither spawns a pool job (whose boxed
-    // closure would allocate).
+    // thread at any size, so neither starts a thread (a spawn would
+    // allocate).
     let mut store = ParamStore::new();
     let cnn = proxy_cnn(
         &mut store,

@@ -9,7 +9,8 @@
 //! sum to the submitted total.
 
 use adept_infer::{serve_with, BatchRunner, RequestOutcome, ServeConfig};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Input value that makes [`MockRunner`] panic mid-batch.
@@ -65,12 +66,13 @@ fn cfg(max_batch: usize, threads: usize, queue_cap: usize, deadline: Duration) -
     }
 }
 
-/// Serve workers run on the process-wide pool, which on a small host has
-/// one worker. A test that times batch formation must find that worker
-/// free, so every test here holds this lock while it serves.
-fn exclusive_pool() -> MutexGuard<'static, ()> {
-    static POOL: Mutex<()> = Mutex::new(());
-    POOL.lock().unwrap_or_else(|e| e.into_inner())
+/// Timing tests need the host's CPUs. Each session starts its own worker
+/// threads, and a test that times batch formation or deadlines must not
+/// share a small host's cores with another test's workers, so every test
+/// here holds this lock while it serves.
+fn exclusive_cpus() -> MutexGuard<'static, ()> {
+    static CPUS: Mutex<()> = Mutex::new(());
+    CPUS.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 fn assert_counts_sum(report: &adept_infer::ServeReport) {
@@ -96,7 +98,7 @@ fn assert_counts_sum(report: &adept_infer::ServeReport) {
 /// correct output, and shed slots stay zeroed.
 #[test]
 fn flooded_queue_sheds_instead_of_growing() {
-    let _pool = exclusive_pool();
+    let _cpus = exclusive_cpus();
     let n = 10;
     let inputs: Vec<f64> = (0..n).map(|i| i as f64).collect();
     let make = MockRunner::factory(Duration::from_millis(30));
@@ -123,7 +125,7 @@ fn flooded_queue_sheds_instead_of_growing() {
 /// being served late; p50/p99 cover only the served requests.
 #[test]
 fn expired_requests_are_dropped_not_served_late() {
-    let _pool = exclusive_pool();
+    let _cpus = exclusive_cpus();
     let n = 4;
     let inputs: Vec<f64> = (0..n).map(|i| 10.0 + i as f64).collect();
     let make = MockRunner::factory(Duration::from_millis(100));
@@ -160,7 +162,7 @@ fn expired_requests_are_dropped_not_served_late() {
 /// poisoned ones still complete with correct outputs.
 #[test]
 fn worker_panic_fails_only_its_batch() {
-    let _pool = exclusive_pool();
+    let _cpus = exclusive_cpus();
     let n = 12;
     let mut inputs: Vec<f64> = (0..n).map(|i| i as f64).collect();
     inputs[3] = POISON;
@@ -192,7 +194,7 @@ fn worker_panic_fails_only_its_batch() {
 /// session.
 #[test]
 fn blast_radius_is_the_batch_not_the_session() {
-    let _pool = exclusive_pool();
+    let _cpus = exclusive_cpus();
     let n = 32;
     let mut inputs: Vec<f64> = (0..n).map(|i| i as f64).collect();
     inputs[5] = POISON;
@@ -226,7 +228,7 @@ fn blast_radius_is_the_batch_not_the_session() {
 /// failing only its own batch.
 #[test]
 fn repeated_panics_do_not_poison_subsequent_requests() {
-    let _pool = exclusive_pool();
+    let _cpus = exclusive_cpus();
     let n = 60;
     let mut inputs: Vec<f64> = (0..n).map(|i| i as f64).collect();
     // 8 poisoned requests spread through the first 40, so each of the 3
@@ -268,7 +270,7 @@ fn repeated_panics_do_not_poison_subsequent_requests() {
 /// multiple workers.
 #[test]
 fn shutdown_drains_every_admitted_request() {
-    let _pool = exclusive_pool();
+    let _cpus = exclusive_cpus();
     let n = 64;
     let inputs: Vec<f64> = (0..n).map(|i| 0.5 * i as f64).collect();
     let make = MockRunner::factory(Duration::from_micros(300));
@@ -297,7 +299,7 @@ fn shutdown_drains_every_admitted_request() {
 /// poisoned) reports zeros for the whole split.
 #[test]
 fn report_splits_latency_into_queue_wait_and_exec() {
-    let _pool = exclusive_pool();
+    let _cpus = exclusive_cpus();
     let n = 8;
     let stall = Duration::from_millis(5);
     let inputs: Vec<f64> = (0..n).map(|i| i as f64).collect();
@@ -340,7 +342,7 @@ fn report_splits_latency_into_queue_wait_and_exec() {
 /// session gets three tries; a fill wait gives 4 batches every time.
 #[test]
 fn auto_config_runs_paced_requests_without_waiting_to_fill() {
-    let _pool = exclusive_pool();
+    let _cpus = exclusive_cpus();
     let n = 32;
     let inputs: Vec<f64> = (0..n).map(|i| i as f64).collect();
     let make = MockRunner::factory(Duration::ZERO);
@@ -364,4 +366,89 @@ fn auto_config_runs_paced_requests_without_waiting_to_fill() {
         }
     }
     panic!("32 paced requests ran in {batches:?} batches: the worker waited to fill");
+}
+
+/// What [`RendezvousRunner`]s share: how many `run_batch` calls started,
+/// and whether a second one started while the first was still running.
+#[derive(Default)]
+struct Rendezvous {
+    started: Mutex<usize>,
+    cv: Condvar,
+    overlapped: AtomicBool,
+}
+
+/// A `2x + 1` runner whose first `run_batch` waits up to `wait` for a
+/// second `run_batch` to start, on another worker.
+struct RendezvousRunner {
+    shared: Arc<Rendezvous>,
+    wait: Duration,
+}
+
+impl BatchRunner for RendezvousRunner {
+    fn input_elems(&self) -> usize {
+        1
+    }
+
+    fn output_features(&self) -> usize {
+        1
+    }
+
+    fn max_batch(&self) -> usize {
+        64
+    }
+
+    fn run_batch(&mut self, input: &[f64], n: usize, out: &mut [f64]) {
+        let mut started = self.shared.started.lock().unwrap();
+        *started += 1;
+        self.shared.cv.notify_all();
+        if *started == 1 {
+            let (started, _) = self
+                .shared
+                .cv
+                .wait_timeout_while(started, self.wait, |started| *started < 2)
+                .unwrap();
+            self.shared
+                .overlapped
+                .store(*started >= 2, Ordering::Relaxed);
+        }
+        for i in 0..n {
+            out[i] = 2.0 * input[i] + 1.0;
+        }
+    }
+}
+
+/// Every serve worker is a live thread while the producer runs: with two
+/// workers, batches of one and arrivals 200 ms apart, the second request
+/// starts on the second worker while the first still runs, long before
+/// the producer closes the queue (about 600 ms in).
+#[test]
+fn every_worker_is_live_while_the_producer_runs() {
+    let _cpus = exclusive_cpus();
+    let spacing = Duration::from_millis(200);
+    let shared = Arc::new(Rendezvous::default());
+    let make = || -> Box<dyn BatchRunner> {
+        Box::new(RendezvousRunner {
+            shared: Arc::clone(&shared),
+            wait: spacing * 3 / 2,
+        })
+    };
+    let n = 3;
+    let inputs: Vec<f64> = (0..n).map(|i| i as f64).collect();
+    let cfg = ServeConfig {
+        max_batch: 1,
+        threads: 2,
+        arrival_spacing: spacing,
+        ..ServeConfig::auto()
+    };
+    let (out, report) = serve_with(&make, &inputs, n, &cfg);
+    assert_counts_sum(&report);
+    assert_eq!(report.threads, 2);
+    assert!(
+        shared.overlapped.load(Ordering::Relaxed),
+        "the second request waited for the producer instead of starting on the idle worker"
+    );
+    assert_eq!(report.served, n, "every request must be served");
+    for i in 0..n {
+        assert_eq!(out[i], 2.0 * i as f64 + 1.0, "request {i}");
+    }
 }

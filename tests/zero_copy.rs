@@ -20,6 +20,10 @@ thread_local! {
     static LOCAL_BYTES: Cell<usize> = const { Cell::new(0) };
 }
 
+// SAFETY: both methods forward the caller's layout and pointer to `System`
+// unchanged, so `System` upholds the `GlobalAlloc` contract; the count is a
+// const-initialized thread-local `Cell`, which never allocates.
+#[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = LOCAL_BYTES.try_with(|b| b.set(b.get() + layout.size()));
