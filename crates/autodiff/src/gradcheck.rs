@@ -254,8 +254,8 @@ mod tests {
             1e-6,
         )
         .unwrap();
-        // Transpose of a slice: the downstream op sees a value that was
-        // materialized from a non-contiguous view.
+        // Transpose of a slice: the downstream op sees a value copied out
+        // of an interior, non-contiguous block.
         check_gradients(
             |_, v| v[0].slice2d(0, 1, 3, 3).transpose().square().sum(),
             &[a.clone()],

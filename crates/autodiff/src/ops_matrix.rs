@@ -1,13 +1,15 @@
 //! Matrix-structured differentiable operations: products (single and
 //! batched), reshapes, reductions, slicing/padding and tile assembly.
 //!
-//! Backward passes lean on the tensor crate's zero-copy machinery: matmul
-//! gradients multiply straight off transposed *views*, slice gradients are
-//! strided scatters, and the stack/assemble ops hand sub-tile gradients out
-//! as storage-sharing windows instead of copies.
+//! Matmul gradients multiply by copied transposes, so every tape product
+//! runs the GEMM kernel's unit-stride inner loop; the copy costs O(k·n)
+//! against the product's O(m·k·n) and moves no bit, since the kernel adds
+//! the same terms in the same order whatever the strides. Slice gradients
+//! are scatters, and the stack/assemble ops hand sub-tile gradients out as
+//! storage-sharing windows instead of copies.
 
 use crate::graph::Var;
-use adept_tensor::{matmul_view, Tensor};
+use adept_tensor::Tensor;
 
 impl<'g> Var<'g> {
     /// Differentiable matrix product.
@@ -24,10 +26,8 @@ impl<'g> Var<'g> {
             &[self, rhs],
             out,
             Box::new(move |g| {
-                // Gradients run off transposed views; the transposes are
-                // never materialized.
-                let ga = matmul_view(&g.view(), &b.t_view());
-                let gb = matmul_view(&a.t_view(), &g.view());
+                let ga = g.matmul(&b.transpose());
+                let gb = a.transpose().matmul(g);
                 vec![Some(ga), Some(gb)]
             }),
         )
@@ -152,9 +152,8 @@ impl<'g> Var<'g> {
 
     /// Extracts the `rows`×`cols` block of a matrix at `(r0, c0)`.
     ///
-    /// The forward pass is a strided view materialization (zero-copy when
-    /// the slice covers whole leading rows); the backward pass scatters the
-    /// gradient back into a zero matrix at the same offsets.
+    /// The forward pass copies the block's row slabs; the backward pass
+    /// scatters the gradient back into a zero matrix at the same offsets.
     ///
     /// # Panics
     ///
@@ -167,7 +166,7 @@ impl<'g> Var<'g> {
             r0 + rows <= r && c0 + cols <= c,
             "slice {rows}x{cols} at ({r0},{c0}) exceeds {r}x{c}"
         );
-        let out = v.block_view(r0, c0, rows, cols).materialize();
+        let out = v.block(r0, c0, rows, cols);
         self.graph.custom(
             &[self],
             out,

@@ -335,6 +335,55 @@ fn bench_tape_glue(c: &mut Criterion) {
     group.finish();
 }
 
+/// `design`'s three conv2 GEMMs as `Var::matmul` runs them: the forward
+/// W·cols (`[6, 54]·[54, 1600]`, half of `cols` zero as after a ReLU),
+/// the weight gradient g·colsᵀ and the input gradient Wᵀ·g, each gradient
+/// through a copied transpose and the kernel's unit-stride loop.
+/// `conv2_weight_grad_strided` is the same weight gradient read through a
+/// column-strided [`Tile`] instead, the scalar strided walk the tape took
+/// before it copied transposes; both give the same bits, and the CI bench
+/// gate requires the copy to be no slower.
+fn bench_tape_matmul(c: &mut Criterion) {
+    let (m, k, n) = (6usize, 54usize, 1600usize);
+    let mut rng = StdRng::seed_from_u64(12);
+    let w = Tensor::rand_uniform(&mut rng, &[m, k], -1.0, 1.0);
+    let cols = Tensor::rand_uniform(&mut rng, &[k, n], -1.0, 1.0).map(|x| x.max(0.0));
+    let g = Tensor::rand_uniform(&mut rng, &[m, n], -1.0, 1.0);
+    let mut group = c.benchmark_group("tape_matmul");
+    group.bench_function("conv2_forward", |b| {
+        b.iter(|| black_box(w.matmul(&cols)));
+    });
+    group.bench_function("conv2_weight_grad", |b| {
+        b.iter(|| black_box(g.matmul(&cols.transpose())));
+    });
+    group.bench_function("conv2_input_grad", |b| {
+        b.iter(|| black_box(w.transpose().matmul(&g)));
+    });
+    let cols_t = Tile {
+        offset: 0,
+        row_stride: 1,
+        col_stride: n,
+    };
+    group.bench_function("conv2_weight_grad_strided", |b| {
+        b.iter(|| {
+            let mut out = Tensor::zeros(&[m, k]);
+            batched_matmul_into(
+                g.as_slice(),
+                &[Tile::contiguous(0, n)],
+                cols.as_slice(),
+                &[cols_t],
+                out.as_mut_slice(),
+                &[Tile::contiguous(0, k)],
+                m,
+                n,
+                k,
+            );
+            black_box(out)
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_gemm,
@@ -347,6 +396,7 @@ criterion_group!(
     bench_unitary_build,
     bench_im2col_reuse,
     bench_conv_forward,
-    bench_tape_glue
+    bench_tape_glue,
+    bench_tape_matmul
 );
 criterion_main!(benches);

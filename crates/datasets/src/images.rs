@@ -48,10 +48,13 @@ impl Dataset {
     /// Panics if the range exceeds the dataset.
     pub fn batch(&self, start: usize, count: usize) -> (Tensor, Vec<usize>) {
         assert!(start + count <= self.len(), "batch range out of bounds");
-        (
-            self.images.view().slice(0, start, count).materialize(),
-            self.labels[start..start + count].to_vec(),
-        )
+        let [c, h, w] = self.image_shape();
+        let images = Tensor::from_shared(
+            self.images.storage(),
+            self.images.storage_offset() + start * c * h * w,
+            &[count, c, h, w],
+        );
+        (images, self.labels[start..start + count].to_vec())
     }
 
     /// Returns a copy with samples shuffled by `rng`.
@@ -394,6 +397,10 @@ mod tests {
         assert_eq!(images.shape(), &[5, 1, 12, 12]);
         assert_eq!(labels, tr.labels[10..15]);
         assert_eq!(images.as_slice()[0], tr.images.as_slice()[10 * 144]);
+        assert!(
+            images.shares_storage(&tr.images),
+            "batches window the dataset"
+        );
     }
 
     #[test]

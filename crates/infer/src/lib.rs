@@ -12,8 +12,8 @@
 //!   into a flat step program. Mesh unitaries and `Re(U·diag(σ)·V)` weight
 //!   matrices are materialized **once** at plan-build time through the same
 //!   tape machinery a forward pass uses — bit-identical weights, including
-//!   the phase-noise stream for a given seed — and rebuilt only when the
-//!   parameters actually change ([`ExecPlan::refresh`]). Convolutions run
+//!   the phase-noise stream for a given seed. A plan is immutable: new
+//!   parameters or faults mean a new compile. Convolutions run
 //!   on [`adept_tensor::DirectConv`], which needs no patch matrix and is
 //!   bit-identical to the tape's im2col + GEMM; ReLU fuses into the
 //!   preceding conv/GEMM/batch-norm epilogue.
@@ -53,8 +53,7 @@
 //! freezes a model *as degraded hardware would run it* — a
 //! [`adept_photonics::FaultScenario`] (dead/stuck phase shifters, dead
 //! couplers, thermal drift, phase quantization) is applied during the
-//! mesh-weight materialization, and [`ExecPlan::refresh`] re-freezes
-//! whenever the parameter **or** fault fingerprint changes.
+//! mesh-weight materialization.
 
 pub mod plan;
 pub mod serve;

@@ -48,7 +48,6 @@ use adept_nn::layers::Layer;
 use adept_nn::{
     lower_model_faulted, Checkpoint, CheckpointError, LowerError, LoweredStep, ParamStore,
 };
-use adept_photonics::codec::{fnv1a, FNV_OFFSET};
 use adept_photonics::FaultScenario;
 use adept_telemetry::Counter;
 use adept_tensor::{matmul_into, DirectConv, Element, TensorBase};
@@ -163,15 +162,6 @@ impl PlanPrecision {
         match self {
             PlanPrecision::F64 => "f64",
             PlanPrecision::F32 => "f32",
-        }
-    }
-
-    /// Mixed into the plan fingerprint so `refresh` treats precision as
-    /// part of the frozen-weight identity, alongside params and faults.
-    fn tag(self) -> u64 {
-        match self {
-            PlanPrecision::F64 => 0,
-            PlanPrecision::F32 => 0x9e37_79b9_7f4a_7c15,
         }
     }
 }
@@ -318,35 +308,10 @@ enum Body {
 #[derive(Debug, Clone)]
 pub struct ExecPlan {
     body: Body,
-    in_shape: Vec<usize>,
     in_elems: usize,
     out_features: usize,
     max_batch: usize,
-    fingerprint: u64,
-    seed: u64,
     precision: PlanPrecision,
-    /// Static hardware damage the frozen weights realize (`None` =
-    /// healthy hardware).
-    faults: Option<Arc<FaultScenario>>,
-    /// Fingerprint of `faults` at compile time; [`ExecPlan::refresh_faults`]
-    /// re-freezes when the deployed scenario's fingerprint moves.
-    fault_fp: u64,
-}
-
-/// FNV-1a over every parameter tensor's shape and f64 bit pattern, in
-/// `model.param_ids()` order. Cheap change detection for [`ExecPlan::refresh`].
-fn param_fingerprint(model: &dyn Layer, store: &ParamStore) -> u64 {
-    let mut h = FNV_OFFSET;
-    for id in model.param_ids() {
-        let t = store.value(id);
-        for &d in t.shape() {
-            h = fnv1a(h, &(d as u64).to_le_bytes());
-        }
-        for &x in t.as_slice() {
-            h = fnv1a(h, &x.to_bits().to_le_bytes());
-        }
-    }
-    h
 }
 
 /// Builds the dtype-monomorphic program from the lowered step list:
@@ -531,31 +496,24 @@ impl ExecPlan {
     ) -> Result<Self, LowerError> {
         assert!(max_batch > 0, "max_batch must be positive");
         let faults = faults.filter(|f| !f.is_empty());
-        let lowered = lower_model_faulted(model, store, seed, faults.clone())?;
-        let in_shape = sample_shape.to_vec();
-        let in_elems: usize = in_shape.iter().product();
+        let lowered = lower_model_faulted(model, store, seed, faults)?;
+        let in_elems: usize = sample_shape.iter().product();
         let (body, out_features) = match precision {
             PlanPrecision::F64 => {
-                let (p, o) = build_program::<f64>(lowered, &in_shape, in_elems, max_batch);
+                let (p, o) = build_program::<f64>(lowered, sample_shape, in_elems, max_batch);
                 (Body::F64(p), o)
             }
             PlanPrecision::F32 => {
-                let (p, o) = build_program::<f32>(lowered, &in_shape, in_elems, max_batch);
+                let (p, o) = build_program::<f32>(lowered, sample_shape, in_elems, max_batch);
                 (Body::F32(p), o)
             }
         };
-        let fault_fp = faults.as_ref().map_or(0, |f| f.fingerprint());
         Ok(Self {
             body,
-            in_shape,
             in_elems,
             out_features,
             max_batch,
-            fingerprint: param_fingerprint(model, store) ^ precision.tag(),
-            seed,
             precision,
-            faults,
-            fault_fp,
         })
     }
 
@@ -625,61 +583,6 @@ impl ExecPlan {
             Body::F64(p) => p.steps.len(),
             Body::F32(p) => p.steps.len(),
         }
-    }
-
-    /// Rebuilds the frozen weights if (and only if) the model's parameters
-    /// changed since this plan was compiled — e.g. after phases moved in a
-    /// training step. The noise seed and precision are kept (precision is
-    /// fingerprinted alongside the params), so a refreshed plan stays
-    /// comparable to `evaluate_seeded` under the same seed. Returns whether
-    /// a rebuild happened.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LowerError`] if the (changed) model no longer lowers.
-    pub fn refresh(&mut self, model: &dyn Layer, store: &ParamStore) -> Result<bool, LowerError> {
-        let faults = self.faults.clone();
-        self.refresh_faults(model, store, faults)
-    }
-
-    /// Like [`ExecPlan::refresh`], but also re-freezes when the deployed
-    /// fault scenario changed (its [`FaultScenario::fingerprint`] differs
-    /// from the one this plan was compiled against) — the in-field
-    /// recalibration path: a newly diagnosed dead shifter, or repaired
-    /// hardware (`None`), rebuilds the frozen weights without touching an
-    /// unchanged plan. Returns whether a rebuild happened.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LowerError`] if the (changed) model no longer lowers.
-    pub fn refresh_faults(
-        &mut self,
-        model: &dyn Layer,
-        store: &ParamStore,
-        faults: Option<Arc<FaultScenario>>,
-    ) -> Result<bool, LowerError> {
-        let faults = faults.filter(|f| !f.is_empty());
-        let fault_fp = faults.as_ref().map_or(0, |f| f.fingerprint());
-        if param_fingerprint(model, store) ^ self.precision.tag() == self.fingerprint
-            && fault_fp == self.fault_fp
-        {
-            return Ok(false);
-        }
-        *self = Self::compile_faulted(
-            model,
-            store,
-            &self.in_shape,
-            self.max_batch,
-            self.seed,
-            faults,
-            self.precision,
-        )?;
-        Ok(true)
-    }
-
-    /// The fault scenario the frozen weights realize, if any.
-    pub fn fault_scenario(&self) -> Option<&Arc<FaultScenario>> {
-        self.faults.as_ref()
     }
 
     /// Runs `n` samples through the plan: `input` is `n × input_elems`
@@ -897,12 +800,5 @@ mod tests {
                 "{precision:?} pooled {out:?}"
             );
         }
-    }
-
-    #[test]
-    fn precision_tags_differ() {
-        // The fingerprint must distinguish otherwise-identical plans that
-        // differ only in dtype, or refresh would skip a needed re-freeze.
-        assert_ne!(PlanPrecision::F64.tag(), PlanPrecision::F32.tag());
     }
 }

@@ -48,7 +48,7 @@
 //! line are the ones device specs use ([`adept_photonics::codec`]): the
 //! line-anchored error, the integer/hex token parsers, the FNV-1a
 //! checksum, `ublock`/`vblock` records parsed by [`codec::mesh_block`]
-//! against the shared block rules ([`MeshBlock::check`]: `k ≥ 2`,
+//! against the shared block rules ([`MeshBlock::check`]: `2 ≤ k ≤ 64`,
 //! `dc_start` ∈ {0, 1}, one flag per coupler slot, a bijection of `k`
 //! wires), the `backend` record's `k` held to the same [`codec::check_k`],
 //! and fault records checked by [`FaultKind::check`]. Every `model`
@@ -940,6 +940,13 @@ mod tests {
                 mesh.to_owned(),
                 "backend mzi 0\n".to_owned(),
                 "k must be ≥ 2, got 0",
+                "backend ",
+            ),
+            // `instantiate` would allocate k² phases per MZI mesh.
+            (
+                mesh.to_owned(),
+                "backend mzi 128\n".to_owned(),
+                "k must be ≤ 64, got 128",
                 "backend ",
             ),
         ];

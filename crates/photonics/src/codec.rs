@@ -12,12 +12,12 @@
 //!   (`device spec line N: …`, `checkpoint line N: …`);
 //! * [`int`] and [`hex`], the token parsers behind every integer and hex
 //!   word either format reads;
-//! * [`check_k`], the PTC-size rule of every mesh, MZI or block;
+//! * [`check_k`], the PTC-size rule of every mesh, MZI or block: at least
+//!   2 ports and at most [`MAX_K`];
 //! * [`mesh_block`], the one block parser, which enforces the block rules
 //!   of [`MeshBlock::check`];
 //! * [`fnv1a`], the hash behind the checkpoint checksum, fault
-//!   fingerprints and sites, the compiled plan's parameter fingerprint
-//!   and the SuperMesh frame tag.
+//!   fingerprints and sites, and the SuperMesh frame tag.
 //!
 //! Fault parameters are checked by [`crate::FaultKind::check`] in both
 //! formats.
@@ -101,9 +101,16 @@ pub fn hex(token: &str) -> Result<u64, String> {
         .map_err(|_| format!("expected a 16-hex-digit bit pattern, got `{token}`"))
 }
 
-/// The PTC-size rule every mesh obeys, MZI or block: `k ≥ 2` ports.
-/// Device specs, checkpoint `backend` records and [`MeshBlock::check`]
-/// all apply it.
+/// The largest PTC size any mesh may declare: twice the paper's largest
+/// PTC (k = 32). Mesh builds allocate in proportion to `k` (a butterfly
+/// holds log₂k blocks of k-wire permutations, an MZI mesh k² phases), and
+/// a device spec has no payload that pays for them, so a text that names
+/// a larger `k` is rejected before anything is built.
+pub const MAX_K: usize = 64;
+
+/// The PTC-size rule every mesh obeys, MZI or block: `2 ≤ k ≤`
+/// [`MAX_K`] ports. Device specs, checkpoint `backend` records and
+/// [`MeshBlock::check`] all apply it.
 ///
 /// # Errors
 ///
@@ -111,6 +118,9 @@ pub fn hex(token: &str) -> Result<u64, String> {
 pub fn check_k(k: usize) -> Result<(), String> {
     if k < 2 {
         return Err(format!("k must be ≥ 2, got {k}"));
+    }
+    if k > MAX_K {
+        return Err(format!("k must be ≤ {MAX_K}, got {k}"));
     }
     Ok(())
 }

@@ -17,10 +17,12 @@
 //!   decomposition (Reck-style), used to inject phase noise into the MZI
 //!   baseline;
 //! * [`PhaseNoise`] — the Gaussian phase-drift model of the robustness
-//!   experiments (Fig. 4);
-//! * [`fault`] — seeded, composable static-fault scenarios
-//!   ([`FaultScenario`]): dead/stuck phase shifters, dead couplers, frozen
-//!   thermal drift and phase quantization, applied per physical device site;
+//!   experiments (Fig. 4), drawn fresh per build;
+//! * [`fault`] — the one static-fault model: seeded, composable scenarios
+//!   ([`FaultScenario`]) of dead/stuck phase shifters, dead couplers, frozen
+//!   thermal drift and phase quantization, applied per physical device site
+//!   on the tape and, through [`FaultScenario::apply_columns`], to offline
+//!   phase columns;
 //! * [`registry`] — runtime-loaded declarative device specs
 //!   ([`DeviceSpec`]): PDK corners, noise sigma, fault priors and the mesh
 //!   topology in one TOML-like text file with line-numbered validation;
@@ -42,7 +44,7 @@ mod topology;
 pub use cost::{block_count_bounds, BlockBounds, DeviceCount};
 pub use devices::{coupler_matrix, crossing_matrix, mzi_matrix, phase_column, DC_50_50_T};
 pub use fault::{FaultKind, FaultScenario};
-pub use noise::{DeadShifterFault, PhaseNoise};
+pub use noise::PhaseNoise;
 pub use pdk::Pdk;
 pub use registry::{DeviceSpec, SpecError, TopologySpec};
 pub use topology::{BlockMeshTopology, MeshBlock};

@@ -1,5 +1,7 @@
-//! Hardware non-ideality models: Gaussian phase drift (the paper's Fig. 4
-//! robustness study) and dead-phase-shifter fault injection (extension).
+//! Dynamic phase drift: the Gaussian model of the paper's Fig. 4
+//! robustness study, a fresh draw per build. Static damage (dead or stuck
+//! shifters, dead couplers, frozen drift, quantization) is the one fault
+//! model in [`crate::fault`].
 
 use rand::Rng;
 
@@ -54,59 +56,6 @@ impl PhaseNoise {
     pub fn perturb<R: Rng + ?Sized>(&self, phases: &[f64], rng: &mut R) -> Vec<f64> {
         phases.iter().map(|&p| p + self.sample(rng)).collect()
     }
-
-    /// Perturbs a whole mesh configuration (one column per block).
-    pub fn perturb_columns<R: Rng + ?Sized>(
-        &self,
-        columns: &[Vec<f64>],
-        rng: &mut R,
-    ) -> Vec<Vec<f64>> {
-        columns.iter().map(|c| self.perturb(c, rng)).collect()
-    }
-}
-
-/// Fault model for failure-injection tests: each phase shifter
-/// independently dies (gets stuck at phase 0) with probability `p`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DeadShifterFault {
-    p: f64,
-}
-
-impl DeadShifterFault {
-    /// Creates a fault model with per-device death probability `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ p ≤ 1`.
-    pub fn new(p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
-        Self { p }
-    }
-
-    /// Death probability.
-    pub fn probability(&self) -> f64 {
-        self.p
-    }
-
-    /// Applies the fault: dead shifters are forced to phase 0.
-    ///
-    /// Allocating wrapper around [`Self::inject_into`], kept for callers
-    /// that want a fresh column.
-    pub fn inject<R: Rng + ?Sized>(&self, phases: &[f64], rng: &mut R) -> Vec<f64> {
-        let mut out = phases.to_vec();
-        self.inject_into(&mut out, rng);
-        out
-    }
-
-    /// Applies the fault in place — the sweep hot path, which reuses one
-    /// scratch column per mesh instead of allocating per column.
-    pub fn inject_into<R: Rng + ?Sized>(&self, phases: &mut [f64], rng: &mut R) {
-        for p in phases {
-            if rng.gen_bool(self.p) {
-                *p = 0.0;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -133,33 +82,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 2e-3, "mean {mean}");
         assert!((var.sqrt() - 0.05).abs() < 5e-3, "std {}", var.sqrt());
-    }
-
-    #[test]
-    fn perturb_columns_shapes() {
-        let noise = PhaseNoise::new(0.02);
-        let mut rng = StdRng::seed_from_u64(3);
-        let cols = vec![vec![0.0; 4], vec![1.0; 4]];
-        let out = noise.perturb_columns(&cols, &mut rng);
-        assert_eq!(out.len(), 2);
-        assert!(out.iter().all(|c| c.len() == 4));
-        assert!(out[0].iter().any(|&x| x != 0.0));
-    }
-
-    #[test]
-    fn dead_shifter_rates() {
-        let fault = DeadShifterFault::new(0.5);
-        let mut rng = StdRng::seed_from_u64(4);
-        let phases = vec![1.0; 10000];
-        let out = fault.inject(&phases, &mut rng);
-        let dead = out.iter().filter(|&&x| x == 0.0).count();
-        assert!((dead as f64 / 10000.0 - 0.5).abs() < 0.03);
-        // p = 0 never kills; p = 1 kills all.
-        assert_eq!(DeadShifterFault::new(0.0).inject(&phases, &mut rng), phases);
-        assert!(DeadShifterFault::new(1.0)
-            .inject(&phases, &mut rng)
-            .iter()
-            .all(|&x| x == 0.0));
     }
 
     #[test]

@@ -47,8 +47,10 @@
 //!
 //! [topology]                    # required
 //! kind = "butterfly"            # butterfly | dense | custom | mzi
-//! k = 8                         # port count (butterfly: power of two)
-//! blocks = 4                    # dense only: mesh blocks per unitary
+//! k = 8                         # port count, 2..=64 (butterfly: power
+//!                               # of two)
+//! blocks = 4                    # dense only: mesh blocks per unitary,
+//!                               # 1..=256
 //! block = "0 | 1011 | 1 0 3 2"  # custom only, one per mesh block:
 //!                               # dc_start | coupler flags | permutation
 //! ```
@@ -56,6 +58,8 @@
 //! [`DeviceSpec::parse`] validates everything the constructors it feeds
 //! would otherwise panic on (probabilities, butterfly power-of-two,
 //! permutation bijectivity, …) and returns line-anchored errors instead.
+//! It also caps what the mesh build would allocate: `k` at
+//! [`codec::MAX_K`] and a dense `blocks` count at 256.
 //! Integers, `block` entries and fault priors go through the rules
 //! checkpoints share ([`crate::codec`], [`FaultKind::check`]).
 
@@ -524,6 +528,12 @@ fn build_faults(s: &Section) -> Result<Option<FaultScenario>, SpecError> {
     Ok((!scenario.is_empty()).then_some(scenario))
 }
 
+/// The most blocks a `kind = "dense"` spec may ask for per unitary. The
+/// search builds at most 12 and the shipped dense spec has 4; each block
+/// allocates k coupler flags and a k-wire permutation, so the ceiling
+/// keeps a spec from asking for a mesh no process can hold.
+const MAX_DENSE_BLOCKS: usize = 256;
+
 fn build_topology(s: &Section) -> Result<TopologySpec, SpecError> {
     s.check_keys(&["kind", "k", "blocks", "block"])?;
     let kind_entry = s.require("kind")?;
@@ -563,6 +573,12 @@ fn build_topology(s: &Section) -> Result<TopologySpec, SpecError> {
             let blocks = int_value(b_entry)?;
             if blocks == 0 {
                 return Err(SpecError::at(b_entry.line, "blocks must be ≥ 1"));
+            }
+            if blocks > MAX_DENSE_BLOCKS {
+                return Err(SpecError::at(
+                    b_entry.line,
+                    format!("blocks must be ≤ {MAX_DENSE_BLOCKS}, got {blocks}"),
+                ));
             }
             Ok(TopologySpec::Dense { k, blocks })
         }
@@ -687,6 +703,11 @@ block = "1 | 1 | 0 1 2 3"
         let mzi = DeviceSpec::parse(&minimal("kind = \"mzi\"\nk = 8")).unwrap();
         assert_eq!(mzi.topology.k(), 8);
         assert!(mzi.topology.mesh().is_none());
+
+        // The size ceilings are inclusive.
+        let wide = DeviceSpec::parse(&minimal("kind = \"butterfly\"\nk = 64")).unwrap();
+        assert_eq!(wide.topology.mesh().unwrap().k(), 64);
+        assert!(DeviceSpec::parse(&minimal("kind = \"dense\"\nk = 8\nblocks = 256")).is_ok());
     }
 
     /// Every rejection carries the line it was detected on — both
@@ -704,7 +725,12 @@ block = "1 | 1 | 0 1 2 3"
         let out_of_range = format!("{base}[faults]\ndead_shifter_p = 1.5");
         let unquoted =
             "[device]\nname = d\n[pdk]\nname = \"amf\"\n[topology]\nkind = \"mzi\"\nk = 2\n";
-        let cases: [(&str, usize, &str); 9] = [
+        // Ceilings on what a mesh build would allocate (lines 7 and 8 of
+        // `minimal`).
+        let big_butterfly = minimal("kind = \"butterfly\"\nk = 128");
+        let huge_mzi = minimal("kind = \"mzi\"\nk = 1099511627776");
+        let deep_dense = minimal("kind = \"dense\"\nk = 8\nblocks = 257");
+        let cases: [(&str, usize, &str); 12] = [
             ("name = \"d\"\n", 1, "before any [section]"),
             ("[device\n", 1, "unterminated section header"),
             (
@@ -718,6 +744,9 @@ block = "1 | 1 | 0 1 2 3"
             (&tall, 9, "expects a number"),
             (&out_of_range, 9, "must be in [0, 1]"),
             (unquoted, 2, "quoted string"),
+            (&big_butterfly, 7, "k must be ≤ 64, got 128"),
+            (&huge_mzi, 7, "k must be ≤ 64, got 1099511627776"),
+            (&deep_dense, 8, "blocks must be ≤ 256, got 257"),
         ];
         for (text, line, needle) in cases {
             let err = DeviceSpec::parse(text).unwrap_err();

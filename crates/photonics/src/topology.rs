@@ -33,7 +33,7 @@ impl MeshBlock {
     }
 
     /// The rules every block of a `k`-port mesh obeys, wherever it comes
-    /// from: `k ≥ 2` ([`crate::codec::check_k`]), `dc_start` ∈ {0, 1},
+    /// from: `2 ≤ k ≤ 64` ([`crate::codec::check_k`]), `dc_start` ∈ {0, 1},
     /// one coupler flag per slot and a permutation of exactly `k` wires
     /// (bijective by construction of [`Permutation`]). Checked in this
     /// order, so no slot arithmetic runs on an invalid `k` or `dc_start`.

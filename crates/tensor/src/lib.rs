@@ -13,20 +13,18 @@
 //!   reference-count bumps; the first mutation of a shared tensor detaches
 //!   it onto exclusive storage. Aliasing is therefore never observable
 //!   through writes.
-//! * **Strided views** — a [`View`] is an offset + per-axis strides window
-//!   over the same storage. Slicing, transposition and `K×K` tile
-//!   extraction are pure stride arithmetic; [`View::materialize`] is
-//!   zero-copy when the view is contiguous.
 //! * **One GEMM kernel behind batched, strided entry points** — a scalar
 //!   i-k-j tile kernel, generic over [`Element`], runs every product on
-//!   the calling thread: [`matmul_into`] (row-major slices),
-//!   [`matmul_view`] (GEMM straight off view strides),
-//!   [`batched_matmul_into`] (all PTC tiles of a layer in one sweep,
-//!   addressed by [`Tile`] descriptors) and [`batched_matmul_ragged_into`]
-//!   (mixed-shape [`GemmSpec`] jobs, so the cropped edge tiles of
-//!   non-multiple-of-K layers join the same sweep). None of them
-//!   materializes its operands, and every output element accumulates along
-//!   one ascending-k chain, so results never depend on the thread count.
+//!   the calling thread: [`matmul_into`] (row-major slices, behind
+//!   [`Tensor::matmul`]), [`batched_matmul_into`] (all PTC tiles of a
+//!   layer in one sweep) and [`batched_matmul_ragged_into`] (mixed-shape
+//!   [`GemmSpec`] jobs, so the cropped edge tiles of non-multiple-of-K
+//!   layers join the same sweep). A [`Tile`] — offset plus row and column
+//!   strides into a flat buffer — is the one strided-window type: the
+//!   sweeps address tiles and transposed operands in place through it.
+//!   Every output element accumulates along one ascending-k chain, whatever
+//!   the strides, so results never depend on the layout or the thread
+//!   count.
 //! * **Batched broadcast kernels over a leading tile axis** —
 //!   [`batched_row_combine`]/[`batched_row_scale`]/[`batched_row_dot`]
 //!   (phase-rotation row broadcasts and their adjoints),
@@ -69,10 +67,7 @@
 //! let b = Tensor::eye(2);
 //! let c = a.matmul(&b);
 //! assert!(c.allclose(&a, 1e-12));
-//!
-//! // Views slice and transpose without copying.
-//! let t = a.t_view();
-//! assert_eq!(t.at(&[0, 1]), 3.0);
+//! assert_eq!(a.transpose().at(&[0, 1]), 3.0);
 //! ```
 
 mod batched;
@@ -84,7 +79,6 @@ pub mod pool;
 mod random;
 mod shape;
 mod tensor;
-mod view;
 
 pub use batched::{batched_row_combine, batched_row_dot, batched_row_scale};
 pub use conv::{
@@ -92,12 +86,10 @@ pub use conv::{
 };
 pub use element::Element;
 pub use matmul::{
-    batched_matmul_into, batched_matmul_ragged_into, gemm_thread_count, matmul_into, matmul_view,
-    GemmSpec, Tile,
+    batched_matmul_into, batched_matmul_ragged_into, gemm_thread_count, matmul_into, GemmSpec, Tile,
 };
 pub use shape::{broadcast_shapes, Shape};
 pub use tensor::{Tensor, TensorBase, TensorF32};
-pub use view::{View, ViewBase};
 
 #[cfg(test)]
 mod tests {
@@ -108,16 +100,5 @@ mod tests {
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
         let b = Tensor::eye(2);
         assert!(a.matmul(&b).allclose(&a, 1e-12));
-    }
-
-    #[test]
-    fn views_and_cow_interact() {
-        let a = Tensor::linspace(0.0, 8.0, 9).reshape(&[3, 3]);
-        let v = a.block_view(0, 0, 2, 2);
-        let mut b = a.clone();
-        *b.at_mut(&[0, 0]) = 100.0;
-        // The view still reads the original storage.
-        assert_eq!(v.at(&[0, 0]), 0.0);
-        assert_eq!(b.at(&[0, 0]), 100.0);
     }
 }

@@ -1,7 +1,7 @@
 //! Matrix multiplication: one scalar tile kernel, generic over the element
 //! dtype ([`Element`]: `f64`/`f32`), behind every entry point, plus
-//! strided/batched variants that consume [`View`]s and [`Tile`]
-//! descriptors so tile extraction and assembly never materialize operands.
+//! batched variants that address their operands through [`Tile`]
+//! descriptors, so tile extraction and assembly never copy operands.
 //!
 //! # Kernel structure
 //!
@@ -12,7 +12,12 @@
 //! along one ascending-k chain from `+0.0`, and every entry point, dtype
 //! and caller shares that arithmetic: the direct convolution of compiled
 //! plans reproduces it bit for bit, and so does a naive triple loop with
-//! the same zero-skip (pinned by `tests/mixed_precision.rs`).
+//! the same zero-skip (pinned by `tests/mixed_precision.rs`). The strides
+//! decide only where each term is read from, never which terms are added
+//! or in what order: a product of copied transposes through
+//! [`Tensor::matmul`] and the same product addressed through swapped
+//! [`Tile`] strides give the same bits, and only the first runs the
+//! unit-stride inner loop.
 //!
 //! Every GEMM runs on the calling thread and writes through a `&mut`
 //! slice. The training and serving shapes of this workspace are at most a
@@ -22,7 +27,6 @@
 
 use crate::element::Element;
 use crate::tensor::Tensor;
-use crate::view::View;
 
 /// The auto thread count: `ONN_THREADS` if set, else the machine's
 /// parallelism capped at 8. It is the serving runtime's default worker
@@ -31,11 +35,6 @@ use crate::view::View;
 pub fn gemm_thread_count() -> usize {
     crate::pool::auto_threads()
 }
-
-/// Work (in floating-point operations) from which [`matmul_view`] copies a
-/// column-strided right operand into row-major order once, so the kernel's
-/// inner loop streams rows. Smaller products run straight off the strides.
-const MATERIALIZE_B_MIN_FLOPS: f64 = 2.0e6;
 
 /// Placement of one `m×k`/`k×n`/`m×n` operand inside a flat buffer:
 /// element `(i, j)` lives at `offset + i·row_stride + j·col_stride`.
@@ -61,20 +60,6 @@ impl Tile {
             offset,
             row_stride: cols,
             col_stride: 1,
-        }
-    }
-
-    /// The rank-2 placement of a [`View`] (offset + row/col strides).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the view is not rank 2.
-    pub fn of_view(v: &View) -> Tile {
-        assert_eq!(v.rank(), 2, "Tile::of_view expects a rank-2 view");
-        Tile {
-            offset: v.storage_offset(),
-            row_stride: v.strides()[0],
-            col_stride: v.strides()[1],
         }
     }
 
@@ -299,53 +284,6 @@ pub fn batched_matmul_ragged_into<T: Element>(
     }
 }
 
-/// Matrix product of two rank-2 views.
-///
-/// Transposed, sliced and tiled operands run straight off their strides
-/// through the same kernel as [`matmul_into`]. One exception: from 2 MFLOP
-/// up, a column-strided `b` (e.g. a transposed view) is materialized once
-/// so the inner loop can stream rows; smaller products stay copy-free.
-///
-/// # Panics
-///
-/// Panics on rank or inner-dimension mismatch.
-pub fn matmul_view(a: &View, b: &View) -> Tensor {
-    assert_eq!(a.rank(), 2, "matmul_view lhs must be rank 2");
-    assert_eq!(b.rank(), 2, "matmul_view rhs must be rank 2");
-    let (m, k) = (a.shape()[0], a.shape()[1]);
-    let (k2, n) = (b.shape()[0], b.shape()[1]);
-    assert_eq!(
-        k, k2,
-        "matmul_view inner dimension mismatch: {m}x{k} vs {k2}x{n}"
-    );
-    let mut out = Tensor::zeros(&[m, n]);
-    let flops = 2.0 * m as f64 * n as f64 * k as f64;
-    let b_mat;
-    let (b_slice, b_tile) = if b.strides()[1] != 1 && flops >= MATERIALIZE_B_MIN_FLOPS {
-        // Column-strided rhs (e.g. a transposed view) of a large product:
-        // one O(k·n) materialization buys the streaming inner loop for the
-        // O(m·k·n) product. Small products stay copy-free.
-        b_mat = b.materialize();
-        (b_mat.as_slice(), Tile::contiguous(0, n))
-    } else {
-        (b.storage_slice(), Tile::of_view(b))
-    };
-    gemm_tile(
-        a.storage_slice(),
-        Tile::of_view(a),
-        b_slice,
-        b_tile,
-        out.as_mut_slice(),
-        Tile::contiguous(0, n),
-        m,
-        k,
-        n,
-        1.0,
-        false,
-    );
-    out
-}
-
 impl Tensor {
     /// Matrix product `self · rhs`.
     ///
@@ -544,23 +482,6 @@ mod tests {
         let a = Tensor::zeros(&[2, 3]);
         let b = Tensor::zeros(&[4, 2]);
         let _ = a.matmul(&b);
-    }
-
-    #[test]
-    fn matmul_view_handles_transposes_and_tiles() {
-        let a = Tensor::linspace(-1.0, 1.0, 12).reshape(&[3, 4]);
-        let b = Tensor::linspace(0.0, 1.0, 12).reshape(&[3, 4]);
-        // aᵀ · b without materializing aᵀ.
-        let got = matmul_view(&a.t_view(), &b.view());
-        let want = naive(&a.block(0, 0, 3, 4).t_view().materialize(), &b);
-        assert!(got.allclose(&want, 1e-12));
-        // Tile × tile straight out of the parents.
-        let big = Tensor::linspace(0.0, 35.0, 36).reshape(&[6, 6]);
-        let t1 = big.block_view(1, 1, 2, 3);
-        let t2 = big.block_view(2, 0, 3, 2);
-        let got = matmul_view(&t1, &t2);
-        let want = naive(&t1.materialize(), &t2.materialize());
-        assert!(got.allclose(&want, 1e-12));
     }
 
     #[test]

@@ -176,14 +176,20 @@ impl Tensor {
         }
     }
 
-    /// Transposes a matrix (materialized; see [`Tensor::t_view`] for the
-    /// zero-copy variant).
+    /// Transposes a matrix into fresh row-major storage.
     ///
     /// # Panics
     ///
     /// Panics if the tensor is not rank 2.
     pub fn transpose(&self) -> Tensor {
-        self.t_view().materialize()
+        assert_eq!(self.rank(), 2, "transpose() expects a matrix");
+        let (r, c) = (self.shape()[0], self.shape()[1]);
+        let src = self.as_slice();
+        let mut data = Vec::with_capacity(r * c);
+        for j in 0..c {
+            data.extend((0..r).map(|i| src[i * c + j]));
+        }
+        Tensor::from_vec(data, &[c, r])
     }
 
     /// Adds `scale * other` into `self` in place (same shape).

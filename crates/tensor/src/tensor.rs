@@ -3,7 +3,6 @@
 
 use crate::element::Element;
 use crate::shape::Shape;
-use crate::view::ViewBase;
 use std::fmt;
 use std::sync::Arc;
 
@@ -28,13 +27,14 @@ use std::sync::Arc;
 ///
 /// # Aliasing rules
 ///
-/// * Readers may alias freely: `clone`, `reshape`, `row` and
-///   [`TensorBase::view`] all share storage.
+/// * Readers may alias freely: `clone`, `reshape`, `row`, `subtensor` and
+///   [`TensorBase::from_shared`] all share storage.
 /// * A mutated tensor never aliases anything: copy-on-write guarantees that
 ///   after any `&mut self` operation the storage is exclusively owned.
-/// * [`View`](crate::View) handles non-contiguous windows (strided slices, transposes,
-///   tiles); [`ViewBase::materialize`] is zero-copy exactly when the view is
-///   contiguous.
+/// * Every tensor is a contiguous window. Non-contiguous regions — a
+///   [`TensorBase::block`], a [`Tensor::transpose`] — are copies; the GEMM
+///   sweeps address strided tiles in place through
+///   [`Tile`](crate::Tile) descriptors instead.
 ///
 /// # Examples
 ///
@@ -300,11 +300,6 @@ impl<T: Element> TensorBase<T> {
         }
     }
 
-    /// A strided [`ViewBase`] of the whole tensor (zero-copy).
-    pub fn view(&self) -> ViewBase<T> {
-        ViewBase::of(self)
-    }
-
     /// The single value of a scalar or one-element tensor.
     ///
     /// # Panics
@@ -400,41 +395,25 @@ impl<T: Element> TensorBase<T> {
         }
     }
 
-    /// Copies the `rows`×`cols` block whose top-left corner is `(r0, c0)`.
-    ///
-    /// For a zero-copy handle to the same region use
-    /// [`TensorBase::block_view`].
+    /// Copies the `rows`×`cols` block whose top-left corner is `(r0, c0)`,
+    /// one row slab at a time.
     ///
     /// # Panics
     ///
     /// Panics if the tensor is not rank 2 or the block exceeds bounds.
     pub fn block(&self, r0: usize, c0: usize, rows: usize, cols: usize) -> Self {
-        self.block_view(r0, c0, rows, cols).materialize()
-    }
-
-    /// A zero-copy strided view of the `rows`×`cols` block at `(r0, c0)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not rank 2 or the block exceeds bounds.
-    pub fn block_view(&self, r0: usize, c0: usize, rows: usize, cols: usize) -> ViewBase<T> {
-        assert_eq!(self.rank(), 2, "block_view() expects a matrix");
+        assert_eq!(self.rank(), 2, "block() expects a matrix");
         let (nr, nc) = (self.shape()[0], self.shape()[1]);
         assert!(
             r0 + rows <= nr && c0 + cols <= nc,
             "block {rows}x{cols} at ({r0},{c0}) exceeds {nr}x{nc}"
         );
-        self.view().slice(0, r0, rows).slice(1, c0, cols)
-    }
-
-    /// A zero-copy transposed view of a matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not rank 2.
-    pub fn t_view(&self) -> ViewBase<T> {
-        assert_eq!(self.rank(), 2, "t_view() expects a matrix");
-        self.view().transpose()
+        let src = self.as_slice();
+        let mut data = Vec::with_capacity(rows * cols);
+        for r in r0..r0 + rows {
+            data.extend_from_slice(&src[r * nc + c0..r * nc + c0 + cols]);
+        }
+        Self::from_vec(data, &[rows, cols])
     }
 }
 
@@ -723,10 +702,6 @@ mod tests {
         assert!(!a.shares_storage(&b));
         assert_eq!(a.at(&[0, 0]), 1.0);
         assert_eq!(b.at(&[0, 0]), 9.0);
-        // f32 slabs back views too.
-        let t = a.t_view();
-        assert_eq!(t.at(&[1, 0]), 2.0);
-        assert_eq!(t.materialize().as_slice(), &[1.0, 3.0, 2.0, 4.0]);
     }
 
     #[test]

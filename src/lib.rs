@@ -13,17 +13,16 @@
 //!   and autodiff tape reads are reference-count bumps; the first mutation
 //!   of a shared tensor detaches it, so aliasing is never observable
 //!   through writes.
-//! * **Strided views** — `View` captures offset + per-axis strides.
-//!   Slicing, transposition and `K×K` tile extraction are stride
-//!   arithmetic; materialization is zero-copy for contiguous views.
 //! * **Batched, strided kernels** — `batched_matmul_into` multiplies all
-//!   PTC tiles of a layer in one sweep through `Tile` descriptors;
-//!   `matmul_view` runs GEMMs straight off transposed/sliced views.
+//!   PTC tiles of a layer in one sweep through `Tile` descriptors, the one
+//!   strided-window type: offset plus row and column strides into a flat
+//!   buffer.
 //!
 //! The higher layers consume that substrate instead of copying:
 //!
 //! * [`autodiff`] stores tape values as shared tensors (`Var::value` is
-//!   zero-copy), runs matmul backward passes off transposed views, and
+//!   zero-copy), runs matmul backward passes through copied transposes
+//!   on the kernel's unit-stride loop, and
 //!   provides `stack`/`batched_matmul`/`assemble_tiles` nodes whose
 //!   backward passes hand out storage-sharing windows.
 //! * [`linalg`]'s `CMatrix` keeps its real/imaginary planes in one planar

@@ -282,37 +282,3 @@ fn disabled_telemetry_allocates_nothing() {
     assert_eq!(bytes, 0, "disabled telemetry allocated {bytes} bytes");
     assert_eq!(C.value(), 0, "disabled counter must not accumulate");
 }
-
-#[test]
-fn refresh_rebuilds_only_on_parameter_change() {
-    let mut store = ParamStore::new();
-    let model = proxy_cnn(
-        &mut store,
-        InputShape::new(1, 8, 8),
-        4,
-        4,
-        &Backend::butterfly(4),
-        2,
-    );
-    let mut plan = ExecPlan::compile(&model, &store, &[1, 8, 8], 2, 0, PlanPrecision::F64).unwrap();
-    assert!(
-        !plan.refresh(&model, &store).unwrap(),
-        "clean refresh must no-op"
-    );
-    // Nudge one parameter: the fingerprint must notice and recompile.
-    let id = model.param_ids()[0];
-    let delta = Tensor::full(store.value(id).shape(), 1e-3);
-    store.apply_delta(id, &delta);
-    assert!(
-        plan.refresh(&model, &store).unwrap(),
-        "changed params must rebuild"
-    );
-    let input = synth_input(plan.input_elems());
-    let mut got = vec![0.0; plan.output_features()];
-    plan.run_batch(&input, 1, &mut got);
-    let mut fresh =
-        ExecPlan::compile(&model, &store, &[1, 8, 8], 2, 0, PlanPrecision::F64).unwrap();
-    let mut want = vec![0.0; fresh.output_features()];
-    fresh.run_batch(&input, 1, &mut want);
-    assert_eq!(got, want, "refreshed plan must match a fresh compile");
-}

@@ -2,8 +2,9 @@
 //! phase shifters and severe drift must degrade gracefully (never break
 //! unitarity/passivity) and monotonically.
 //!
-//! Two layers of coverage: the original offline checks on raw
-//! `BlockMeshTopology::unitary` chains, and the tape-path checks — the
+//! Two layers of coverage, one fault model: offline checks on raw
+//! `BlockMeshTopology::unitary` chains, whose phase columns go through
+//! `FaultScenario::apply_columns`, and the tape-path checks — the
 //! same [`FaultScenario`] semantics the `MeshWeight` build applies
 //! (site-keyed phase rewrites + bar-state couplers), walked through the
 //! batched `[T, B, K]` builder and the full `PtcWeight` build, ending in
@@ -17,7 +18,7 @@ use adept_nn::models::Backend;
 use adept_nn::onn::{batched_tile_unitary, PtcWeight};
 use adept_nn::train::evaluate_faulted;
 use adept_nn::{build_mesh_weight, ForwardCtx, ParamStore};
-use adept_photonics::{BlockMeshTopology, DeadShifterFault, FaultKind, FaultScenario, PhaseNoise};
+use adept_photonics::{BlockMeshTopology, FaultKind, FaultScenario};
 use adept_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -29,37 +30,41 @@ fn random_phases(rng: &mut StdRng, blocks: usize, k: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
+/// The mesh name the offline studies key their fault sites under.
+const MESH: &str = "mesh.u0";
+
 #[test]
 fn dead_shifters_preserve_unitarity() {
     let mut rng = StdRng::seed_from_u64(1);
     let topo = BlockMeshTopology::random(&mut rng, 8, 5);
     let phases = random_phases(&mut rng, 5, 8);
     for p in [0.0, 0.1, 0.5, 1.0] {
-        let fault = DeadShifterFault::new(p);
-        let faulty: Vec<Vec<f64>> = phases.iter().map(|c| fault.inject(c, &mut rng)).collect();
-        let u = topo.unitary(&faulty);
+        let scenario = FaultScenario::new(1).with(FaultKind::DeadShifter { p });
+        let u = topo.unitary(&scenario.apply_columns(MESH, &phases));
         assert!(u.is_unitary(1e-9), "p={p}");
     }
 }
 
 #[test]
 fn fault_severity_orders_transfer_error() {
-    // Average transfer-matrix deviation grows with the death probability.
+    // Average transfer-matrix deviation over 10 scenario seeds grows with
+    // the death probability.
     let mut rng = StdRng::seed_from_u64(2);
     let topo = BlockMeshTopology::butterfly(16);
     let phases = random_phases(&mut rng, topo.blocks().len(), 16);
     let clean = topo.unitary(&phases);
-    let mean_err = |p: f64, rng: &mut StdRng| -> f64 {
-        let fault = DeadShifterFault::new(p);
-        let mut total = 0.0;
-        for _ in 0..10 {
-            let faulty: Vec<Vec<f64>> = phases.iter().map(|c| fault.inject(c, rng)).collect();
-            total += topo.unitary(&faulty).fro_dist(&clean);
-        }
+    let mean_err = |p: f64| -> f64 {
+        let total: f64 = (0..10)
+            .map(|seed| {
+                let scenario = FaultScenario::new(seed).with(FaultKind::DeadShifter { p });
+                let faulty = scenario.apply_columns(MESH, &phases);
+                topo.unitary(&faulty).fro_dist(&clean)
+            })
+            .sum();
         total / 10.0
     };
-    let e_small = mean_err(0.05, &mut rng);
-    let e_large = mean_err(0.5, &mut rng);
+    let e_small = mean_err(0.05);
+    let e_large = mean_err(0.5);
     assert!(e_small > 0.0);
     assert!(
         e_large > 1.5 * e_small,
@@ -73,13 +78,10 @@ fn drift_and_faults_compose() {
     let mut rng = StdRng::seed_from_u64(3);
     let topo = BlockMeshTopology::random(&mut rng, 12, 4);
     let phases = random_phases(&mut rng, 4, 12);
-    let noise = PhaseNoise::new(0.1);
-    let fault = DeadShifterFault::new(0.2);
-    let damaged: Vec<Vec<f64>> = phases
-        .iter()
-        .map(|c| fault.inject(&noise.perturb(c, &mut rng), &mut rng))
-        .collect();
-    let u = topo.unitary(&damaged);
+    let scenario = FaultScenario::new(3)
+        .with(FaultKind::ThermalDrift { std: 0.1 })
+        .with(FaultKind::DeadShifter { p: 0.2 });
+    let u = topo.unitary(&scenario.apply_columns(MESH, &phases));
     assert!(u.is_unitary(1e-9));
     // Energy conservation: column power stays 1 (passive optics).
     for j in 0..12 {

@@ -23,6 +23,31 @@ fn perm_strategy(n: usize) -> impl Strategy<Value = Permutation> {
     })
 }
 
+/// The bits of the `rows×cols` product `A·B` (inner dimension `inner`)
+/// by the naive i-k-j loop: every output starts at `+0.0` and adds
+/// `a(i, p)·b(p, j)` over ascending `p`, skipping `a(i, p) == 0`.
+fn naive_ikj(
+    rows: usize,
+    inner: usize,
+    cols: usize,
+    a: impl Fn(usize, usize) -> f64,
+    b: impl Fn(usize, usize) -> f64,
+) -> Vec<u64> {
+    let mut c = vec![0.0f64; rows * cols];
+    for i in 0..rows {
+        for p in 0..inner {
+            let aip = a(i, p);
+            if aip == 0.0 {
+                continue;
+            }
+            for j in 0..cols {
+                c[i * cols + j] += aip * b(p, j);
+            }
+        }
+    }
+    c.iter().map(|x| x.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -84,24 +109,50 @@ proptest! {
     }
 
     #[test]
-    fn transposed_views_equal_materialized_transposes(
+    fn transpose_swaps_indices_and_round_trips(
         rows in 1usize..7, cols in 1usize..7, seed in 0u64..1000,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let t = Tensor::rand_uniform(&mut rng, &[rows, cols], -2.0, 2.0);
-        let view = t.t_view();
-        let materialized = t.transpose();
-        prop_assert_eq!(view.shape(), materialized.shape());
-        prop_assert_eq!(view.materialize(), materialized.clone());
+        let tt = t.transpose();
+        prop_assert_eq!(tt.shape(), &[cols, rows]);
         for i in 0..cols {
             for j in 0..rows {
-                prop_assert_eq!(view.at(&[i, j]), materialized.at(&[i, j]));
+                prop_assert_eq!(tt.at(&[i, j]), t.at(&[j, i]));
             }
         }
-        // Transposing the view again round-trips to the original, zero-copy.
-        let back = view.transpose().materialize();
-        prop_assert!(back.shares_storage(&t));
-        prop_assert_eq!(back, t);
+        prop_assert_eq!(tt.transpose(), t);
+    }
+
+    /// `Var::matmul`'s two gradients, bit for bit, against the naive i-k-j
+    /// loop the GEMM kernel promises: each output adds its terms in
+    /// ascending k from `+0.0`, skips a zero left factor, and multiplies
+    /// then adds. Exact zeros in both operands and in the upstream
+    /// gradient exercise the zero-skip.
+    #[test]
+    fn matmul_gradients_match_naive_ikj_bitwise(
+        m in 1usize..13, k in 1usize..41, n in 1usize..13, seed in 0u64..1000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut sparse = |shape: &[usize]| {
+            let len = shape.iter().product();
+            let data = (0..len)
+                .map(|_| if rng.gen_bool(0.3) { 0.0 } else { rng.gen_range(-2.0..2.0) })
+                .collect();
+            Tensor::from_vec(data, shape)
+        };
+        let (a, b, up) = (sparse(&[m, k]), sparse(&[k, n]), sparse(&[m, n]));
+        let graph = Graph::new();
+        let (av, bv) = (graph.leaf(a.clone()), graph.leaf(b.clone()));
+        // d/d(a·b) of sum(a·b ⊙ up) is `up`, exactly.
+        let loss = av.matmul(bv).mul(graph.constant(up.clone())).sum();
+        let grads = graph.backward(loss);
+        let (a, b, up) = (a.as_slice(), b.as_slice(), up.as_slice());
+        let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let want_ga = naive_ikj(m, n, k, |i, p| up[i * n + p], |p, j| b[j * n + p]);
+        let want_gb = naive_ikj(k, m, n, |i, p| a[p * k + i], |p, j| up[p * n + j]);
+        prop_assert_eq!(bits(grads.grad(av).unwrap()), want_ga);
+        prop_assert_eq!(bits(grads.grad(bv).unwrap()), want_gb);
     }
 
     #[test]
